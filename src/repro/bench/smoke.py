@@ -42,6 +42,7 @@ from repro.engine import make_backend
 from repro.generators.lattice import grid_graph
 from repro.generators.powerlaw import barabasi_albert_graph
 from repro.graph.csr import CSRGraph
+from repro.nputil import sorted_unique
 from repro.obs import (
     TRACE_FORMATS,
     RunDiff,
@@ -80,7 +81,7 @@ COUNTER_COLUMNS = ("rounds_skipped", "bytes_allocated", "fused_passes")
 
 def _canonical(labels: np.ndarray) -> np.ndarray:
     """Labels renumbered by first appearance, for convention-free compare."""
-    _, canon = np.unique(labels, return_inverse=True)
+    _, canon = sorted_unique(labels, return_inverse=True)
     return canon
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_SKIP_SAMPLE_SIZE
 from repro.errors import ConfigurationError
+from repro.nputil import sorted_unique
 
 
 def most_frequent_element(
@@ -40,7 +41,7 @@ def most_frequent_element(
         rng = np.random.default_rng(0)
     idx = rng.integers(0, values.shape[0], size=sample_size)
     sample = values[idx]
-    uniq, counts = np.unique(sample, return_counts=True)
+    uniq, counts = sorted_unique(sample, return_counts=True)
     return int(uniq[np.argmax(counts)])
 
 

@@ -40,6 +40,7 @@ from repro.distributed.partition import (
 )
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.nputil import sorted_unique
 
 
 @dataclass
@@ -59,7 +60,7 @@ class DistCCResult:
 
     @property
     def num_components(self) -> int:
-        return int(np.unique(self.labels).shape[0])
+        return int(sorted_unique(self.labels).shape[0])
 
     @property
     def bytes_per_vertex(self) -> float:

@@ -56,7 +56,7 @@ from repro.engine.partition import (
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.csr import CSRGraph
-from repro.nputil import segment_ranges
+from repro.nputil import segment_ranges, sorted_unique
 from repro.obs.metrics import POW2_BUCKETS, RATIO_BUCKETS
 from repro.parallel.machine import KernelContext, SimulatedMachine
 from repro.parallel.metrics import RunStats
@@ -834,7 +834,7 @@ class VectorizedBackend(ExecutionBackend):
             if not won.any():
                 return empty
             np.minimum.at(pi, dst[won], cand[won])
-            return np.unique(dst[won]).astype(VERTEX_DTYPE)
+            return sorted_unique(dst[won]).astype(VERTEX_DTYPE, copy=False)
 
     def bottom_up_pass(
         self,
@@ -975,7 +975,7 @@ class SimulatedBackend(ExecutionBackend):
             self.machine.parallel_for(
                 probes.shape[0], _probe_kernel, pi, probes, out, phase=phase
             )
-        uniq, counts = np.unique(out, return_counts=True)
+        uniq, counts = sorted_unique(out, return_counts=True)
         return int(uniq[np.argmax(counts)])
 
     def hook_pass(
@@ -1569,7 +1569,7 @@ class ProcessParallelBackend(ExecutionBackend):
         parts = [p for p in parts if p.shape[0]]
         if not parts:
             return np.empty(0, dtype=VERTEX_DTYPE)
-        return np.unique(np.concatenate(parts)).astype(VERTEX_DTYPE)
+        return sorted_unique(np.concatenate(parts)).astype(VERTEX_DTYPE, copy=False)
 
     def bottom_up_pass(
         self,
@@ -1699,7 +1699,7 @@ PARTITION_MODES = ("block", "hash")
 def _dedup_min(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse duplicate delta indices, keeping the minimum value — what
     a rank does before putting its candidate list on the wire."""
-    uniq, inv = np.unique(idx, return_inverse=True)
+    uniq, inv = sorted_unique(idx, return_inverse=True)
     if uniq.shape[0] == idx.shape[0]:
         return idx, val
     out = np.full(uniq.shape[0], np.iinfo(val.dtype).max, dtype=val.dtype)
@@ -1955,7 +1955,7 @@ class DistributedBackend(VectorizedBackend):
         if not already_applied:
             for r, idx, val in live:
                 owner = np.searchsorted(bounds, idx, side="right") - 1
-                for dest in np.unique(owner):
+                for dest in sorted_unique(owner):
                     if dest == r:
                         continue
                     sel = owner == dest
@@ -2048,7 +2048,7 @@ class DistributedBackend(VectorizedBackend):
             ]
             all_idx = np.concatenate([idx for _, idx, _ in live])
             all_val = np.concatenate([val for _, _, val in live])
-            touched = np.unique(all_idx)
+            touched = sorted_unique(all_idx)
             before = pi[touched]
             np.minimum.at(pi, all_idx, all_val)
             changed = touched[pi[touched] < before]
@@ -2314,7 +2314,7 @@ class DistributedBackend(VectorizedBackend):
             if not wins:
                 return empty
             self._exchange(pi, deltas)
-            return np.unique(np.concatenate(wins)).astype(VERTEX_DTYPE)
+            return sorted_unique(np.concatenate(wins)).astype(VERTEX_DTYPE, copy=False)
 
     def bottom_up_pass(
         self,

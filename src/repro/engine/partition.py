@@ -46,7 +46,7 @@ import numpy as np
 from repro.constants import VERTEX_DTYPE
 from repro.core.link import link_batch
 from repro.errors import ConfigurationError
-from repro.nputil import segment_ranges
+from repro.nputil import segment_ranges, sorted_unique
 
 __all__ = [
     "EdgeBlock",
@@ -602,7 +602,7 @@ def _task_frontier_expand(
         _record_stats(stats, t0, items=total)
         return empty
     np.minimum.at(pi, dst[won], cand[won])
-    changed = np.unique(dst[won]).astype(VERTEX_DTYPE)
+    changed = sorted_unique(dst[won]).astype(VERTEX_DTYPE, copy=False)
     _record_stats(stats, t0, items=total, aux=int(changed.shape[0]))
     return changed
 

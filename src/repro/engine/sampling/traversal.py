@@ -24,6 +24,7 @@ import numpy as np
 from repro.constants import VERTEX_DTYPE
 from repro.engine.phase import PlanContext, SamplingSpec
 from repro.errors import ConfigurationError
+from repro.nputil import sorted_unique
 from repro.obs import phase_label
 
 __all__ = ["BFS_SAMPLING", "LDD", "bfs_sampling", "ldd_sampling"]
@@ -71,7 +72,7 @@ def bfs_sampling(ctx: PlanContext, *, rounds: int = 3, roots: int = 32) -> None:
     k = min(roots, n)
     seeds = ctx.rng.choice(n, size=k, replace=False)
     seeds[0] = int(np.argmax(deg))
-    frontier = np.unique(seeds).astype(VERTEX_DTYPE)
+    frontier = sorted_unique(seeds).astype(VERTEX_DTYPE, copy=False)
     _expand_rounds(ctx, frontier, rounds, "SB")
 
 

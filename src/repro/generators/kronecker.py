@@ -45,16 +45,26 @@ def kronecker_edges(
         )
     src = np.zeros(num_edges, dtype=VERTEX_DTYPE)
     dst = np.zeros(num_edges, dtype=VERTEX_DTYPE)
+    # One reused buffer per quantity; every level works in place.
+    r = np.empty(num_edges)
+    quadrant = np.empty(num_edges, dtype=np.uint8)
+    above = np.empty(num_edges, dtype=bool)
+    bit = np.empty(num_edges, dtype=np.uint8)
     for _ in range(scale):
-        r = rng.random(num_edges)
-        # Quadrant thresholds: [0,a) -> (0,0); [a,a+b) -> (0,1);
-        # [a+b,a+b+c) -> (1,0); rest -> (1,1).
-        right = r >= a  # column bit set in quadrants B and D
-        lower = r >= a + b  # row bit set in quadrants C and D
-        row_bit = lower
-        col_bit = right & ~lower | (r >= a + b + c)
-        src = (src << 1) | row_bit.astype(VERTEX_DTYPE)
-        dst = (dst << 1) | col_bit.astype(VERTEX_DTYPE)
+        rng.random(out=r)
+        # Quadrant index q: [0,a) -> 0 (0,0); [a,a+b) -> 1 (0,1);
+        # [a+b,a+b+c) -> 2 (1,0); rest -> 3 (1,1).  Row bit q >> 1,
+        # column bit q & 1.
+        np.greater_equal(r, a, out=quadrant)
+        for threshold in (a + b, a + b + c):
+            np.greater_equal(r, threshold, out=above)
+            quadrant += above
+        np.right_shift(quadrant, 1, out=bit)
+        np.left_shift(src, 1, out=src)
+        np.bitwise_or(src, bit, out=src)
+        np.bitwise_and(quadrant, 1, out=bit)
+        np.left_shift(dst, 1, out=dst)
+        np.bitwise_or(dst, bit, out=dst)
     return src, dst
 
 

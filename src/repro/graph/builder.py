@@ -2,8 +2,12 @@
 
 The builders perform the normalisation pipeline the GAP suite applies when
 loading graphs: symmetrize, optionally drop duplicates and self loops, then
-a counting-sort CSR assembly.  Neighbour lists are sorted by default, which
-both matches GAP's loader and makes ``has_edge`` logarithmic.
+assemble the CSR.  Each directed record is packed into one int64 key
+``src * n + dst`` (both orientations when symmetrizing), the keys are
+sorted once, adjacent duplicates are masked out, and ``divmod`` splits the
+keys back into row ids (whose ``bincount`` gives ``indptr``) and
+neighbours.  Neighbour lists are sorted by default, which both matches
+GAP's loader and makes ``has_edge`` logarithmic.
 
 A note relevant to the paper: Afforest's neighbour sampling uses "the first
 appearing neighbors of each vertex" (Sec. VI-A), i.e. the neighbour order in
@@ -20,8 +24,9 @@ import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
-from repro.graph.coo import EdgeList
+from repro.graph.coo import EdgeList, packed_key_base
 from repro.graph.csr import CSRGraph
+from repro.nputil import run_starts, sorted_unique
 
 
 def build_csr(
@@ -49,29 +54,69 @@ def build_csr(
         Sort each neighbour list ascending.  Disable to preserve the input
         edge order within each list (relevant for neighbour sampling).
     """
-    el = edges
+    n = edges.num_vertices
+    base = packed_key_base(n)
+    src, dst = edges.src, edges.dst
     if drop_self_loops:
-        el = el.without_self_loops()
-    if symmetrize:
-        el = el.symmetrized()
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    keys = _pack(src, dst, base, symmetrize)
+    if sort_neighbors:
+        return csr_from_edge_keys(keys, n, dedup=dedup)
     if dedup:
-        el = el.deduplicated()
+        # First occurrences, back in record order.
+        _, first = sorted_unique(keys, return_index=True)
+        first.sort()
+        keys = keys[first]
+    # A stable sort by row keeps each row's records in input order.
+    keys = keys[np.argsort(keys // base, kind="stable")]
+    return _assemble(keys, n, base)
 
-    n = el.num_vertices
-    counts = np.bincount(el.src, minlength=n).astype(VERTEX_DTYPE)
+
+def csr_from_edge_keys(
+    keys: np.ndarray, num_vertices: int, *, dedup: bool = True
+) -> CSRGraph:
+    """Sorted-neighbour CSR from packed edge keys ``src * n + dst``.
+
+    ``keys`` (int64, any order) is sorted in place; ``dedup`` then drops
+    repeated keys.  Shared by :func:`build_csr` and the out-of-core
+    :func:`~repro.graph.io.build_csr_streaming` compaction.
+    """
+    keys.sort()
+    if dedup:
+        keys = keys[run_starts(keys)]
+    return _assemble(keys, num_vertices, packed_key_base(num_vertices))
+
+
+def _pack(
+    src: np.ndarray, dst: np.ndarray, base: np.int64, symmetrize: bool
+) -> np.ndarray:
+    """Packed keys of the records, then of their mirrors when
+    ``symmetrize`` (self loops stay single: a mirrored loop would count
+    twice in the degree)."""
+    m = src.shape[0]
+    if symmetrize:
+        mirror = src != dst
+        if not mirror.all():
+            src_rev, dst_rev = dst[mirror], src[mirror]
+        else:
+            src_rev, dst_rev = dst, src
+        keys = np.empty(m + src_rev.shape[0], dtype=np.int64)
+        np.multiply(src_rev, base, out=keys[m:])
+        keys[m:] += dst_rev
+    else:
+        keys = np.empty(m, dtype=np.int64)
+    np.multiply(src, base, out=keys[:m])
+    keys[:m] += dst
+    return keys
+
+
+def _assemble(keys: np.ndarray, n: int, base: np.int64) -> CSRGraph:
+    """CSR from packed keys already grouped by ascending row."""
+    rows, indices = np.divmod(keys, base)
+    counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
     np.cumsum(counts, out=indptr[1:])
-
-    if sort_neighbors:
-        # Lexicographic sort by (src, dst) produces CSR with sorted rows in
-        # one shot; counting assembly is not needed.
-        order = np.lexsort((el.dst, el.src))
-        indices = el.dst[order]
-    else:
-        # Stable counting placement preserves per-row record order.
-        order = np.argsort(el.src, kind="stable")
-        indices = el.dst[order]
-
     return CSRGraph(indptr, indices, validate=False)
 
 

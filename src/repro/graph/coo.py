@@ -13,6 +13,24 @@ import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
+from repro.nputil import sorted_unique
+
+
+def packed_key_base(num_vertices: int) -> np.int64:
+    """Multiplier ``n`` of the packed edge key ``src * n + dst``.
+
+    Every edge sort in the library orders records by this one int64 key.
+    Its largest value is ``n * n - 1``, so a vertex count whose square
+    does not fit in int64 (``n > 3_037_000_499``) would wrap silently and
+    merge distinct edges; such counts raise :class:`GraphFormatError`
+    before any key is allocated.
+    """
+    if num_vertices * num_vertices > np.iinfo(np.int64).max:
+        raise GraphFormatError(
+            f"{num_vertices} vertices overflow the int64 packed edge key "
+            "src * n + dst"
+        )
+    return np.int64(max(num_vertices, 1))
 
 
 @dataclass(frozen=True)
@@ -68,11 +86,12 @@ class EdgeList:
         )
 
     def deduplicated(self) -> "EdgeList":
-        """Drop exact duplicate ``(src, dst)`` records (orientation-aware)."""
+        """Drop exact duplicate ``(src, dst)`` records (orientation-aware),
+        keeping the first occurrence of each in record order."""
+        base = packed_key_base(self.num_vertices)
         if self.num_edges == 0:
             return self
-        key = self.src * np.int64(self.num_vertices or 1) + self.dst
-        _, first = np.unique(key, return_index=True)
+        _, first = sorted_unique(self.src * base + self.dst, return_index=True)
         first.sort()
         return EdgeList(self.num_vertices, self.src[first], self.dst[first])
 

@@ -31,8 +31,10 @@ import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import csr_from_edge_keys, from_edge_array
+from repro.graph.coo import packed_key_base
 from repro.graph.csr import CSRGraph
+from repro.nputil import sorted_unique
 
 __all__ = [
     "read_edge_list",
@@ -112,7 +114,7 @@ def _place_chunk(
         return
     order = np.argsort(u, kind="stable")
     us = u[order]
-    uniq, first, cnt = np.unique(us, return_index=True, return_counts=True)
+    uniq, first, cnt = sorted_unique(us, return_index=True, return_counts=True)
     within = np.arange(us.shape[0], dtype=np.int64) - np.repeat(first, cnt)
     buf[cursor[us] + within] = v[order]
     cursor[uniq] += cnt
@@ -128,12 +130,16 @@ def build_csr_streaming(
     sequence of ``(src, dst)`` edge blocks (re-reading a file, re-seeding
     a generator).  Pass one counts degrees (and discovers ``num_vertices``
     when not given); pass two scatters both edge directions straight into
-    the CSR slab.  A final in-place per-row sort + dedup reproduces
-    :func:`~repro.graph.builder.build_csr`'s default normalisation
+    the CSR slab.  The final compaction packs the slab into the same int64
+    keys ``row * n + neighbour`` that
+    :func:`~repro.graph.builder.build_csr` sorts, so one sort plus an
+    adjacent-duplicate mask reproduces its default normalisation
     (symmetrize, drop self loops, dedup, sorted neighbours) bit-exactly —
     but the whole COO edge list is never materialised: peak memory is the
     raw CSR slab plus one block.
     """
+    if num_vertices is not None:
+        packed_key_base(num_vertices)  # refuse an overflowing n up front
     # Pass 1: degree counts (both directions, self loops dropped).
     counts = np.zeros(
         0 if num_vertices is None else num_vertices, dtype=np.int64
@@ -162,6 +168,7 @@ def build_csr_streaming(
         counts += np.bincount(src, minlength=counts.shape[0])
         counts += np.bincount(dst, minlength=counts.shape[0])
     n = counts.shape[0]
+    base = packed_key_base(n)
     raw_indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
     np.cumsum(counts, out=raw_indptr[1:])
     m_raw = int(raw_indptr[-1])
@@ -181,18 +188,12 @@ def build_csr_streaming(
     if m_raw == 0:
         return CSRGraph(raw_indptr, buf, validate=False)
 
-    # Compaction: sort each row, drop duplicate neighbours.
-    rowid = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), counts)
-    order = np.lexsort((buf, rowid))
-    buf = buf[order]
-    rowid = rowid[order]
-    keep_mask = np.ones(m_raw, dtype=bool)
-    keep_mask[1:] = (buf[1:] != buf[:-1]) | (rowid[1:] != rowid[:-1])
-    indices = buf[keep_mask]
-    final_counts = np.bincount(rowid[keep_mask], minlength=n)
-    indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(final_counts, out=indptr[1:])
-    return CSRGraph(indptr, indices, validate=False)
+    # Compaction: sort each row and drop duplicate neighbours, as one sort
+    # of the packed keys.
+    keys = np.repeat(np.arange(n, dtype=np.int64) * base, counts)
+    keys += buf
+    del buf
+    return csr_from_edge_keys(keys, n)
 
 
 def read_edge_list(

@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.graph.builder import build_csr
 from repro.graph.coo import EdgeList
 from repro.graph.csr import CSRGraph
+from repro.nputil import sorted_unique
 
 __all__ = [
     "induced_subgraph",
@@ -39,7 +40,7 @@ def induced_subgraph(
         vertices.min() < 0 or vertices.max() >= graph.num_vertices
     ):
         raise ConfigurationError("vertex id out of range")
-    if np.unique(vertices).shape[0] != vertices.shape[0]:
+    if sorted_unique(vertices).shape[0] != vertices.shape[0]:
         raise ConfigurationError("vertex list contains duplicates")
     n_sub = int(vertices.shape[0])
     # Old id -> new id (or -1 when excluded).
@@ -108,7 +109,7 @@ def split_components(
 
         labels = afforest(graph).labels
     labels = np.asarray(labels)
-    uniq, counts = np.unique(labels, return_counts=True)
+    uniq, counts = sorted_unique(labels, return_counts=True)
     order = np.argsort(counts)[::-1]
     out = []
     for idx in order:

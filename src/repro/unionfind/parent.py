@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import InvariantViolationError
+from repro.nputil import sorted_unique
 
 
 class ParentArray:
@@ -203,7 +204,7 @@ class ParentArray:
     def tree_sizes(self) -> dict[int, int]:
         """Mapping root id -> number of vertices in its tree."""
         lab = self.labels()
-        roots, counts = np.unique(lab, return_counts=True)
+        roots, counts = sorted_unique(lab, return_counts=True)
         return {int(r): int(c) for r, c in zip(roots, counts)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -17,6 +17,7 @@ from repro.generators import (
     web_graph,
 )
 from repro.generators.components import component_blocks
+from repro.generators.kronecker import kronecker_edges
 from repro.graph.properties import component_census, exact_diameter
 from repro.graph.validate import validate_graph
 
@@ -83,6 +84,36 @@ class TestKronecker:
 
     def test_structure_valid(self):
         validate_graph(kronecker_graph(7, seed=1), require_sorted=True)
+
+    @pytest.mark.parametrize(
+        "scale, abc", [(10, (0.57, 0.19, 0.19)), (7, (0.3, 0.1, 0.45))]
+    )
+    def test_edges_match_reference_draw(self, scale, abc):
+        """The in-place draw equals the plain per-level R-MAT draw bit for
+        bit and leaves the random stream in the same state."""
+
+        def reference(rng):
+            a, b, c = abc
+            m = 16 << scale
+            src = np.zeros(m, dtype=np.int64)
+            dst = np.zeros(m, dtype=np.int64)
+            for _ in range(scale):
+                r = rng.random(m)
+                right = r >= a
+                lower = r >= a + b
+                col_bit = right & ~lower | (r >= a + b + c)
+                src = (src << 1) | lower.astype(np.int64)
+                dst = (dst << 1) | col_bit.astype(np.int64)
+            return src, dst
+
+        rng_ref, rng = np.random.default_rng(42), np.random.default_rng(42)
+        want = reference(rng_ref)
+        a, b, c = abc
+        got = kronecker_edges(scale, 16 << scale, a=a, b=b, c=c, rng=rng)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        assert rng.random() == rng_ref.random()
 
 
 class TestRegular:

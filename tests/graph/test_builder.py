@@ -1,8 +1,13 @@
 """Unit tests for CSR construction from edge data."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
 from repro.graph.builder import build_csr, from_edge_array, from_edge_list
 from repro.graph.coo import EdgeList
@@ -102,3 +107,127 @@ def test_multigraph_input_normalises():
     g = from_edge_list(pairs)
     assert g.num_edges == 1
     assert g.num_self_loops == 0
+
+
+# --------------------------------------------------------------------- #
+# Bit-identity with the two-sort reference builder
+# --------------------------------------------------------------------- #
+
+
+def reference_build_csr(
+    edges, *, symmetrize=True, dedup=True, drop_self_loops=True,
+    sort_neighbors=True,
+):
+    """The earlier two-sort builder, kept verbatim as the reference:
+    ``np.unique`` first-occurrence dedup, then ``lexsort`` (or a stable
+    row argsort) of the surviving records."""
+    src, dst = edges.src, edges.dst
+    n = edges.num_vertices
+    if drop_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    if symmetrize:
+        loops = src == dst
+        src, dst = (
+            np.concatenate([src, dst[~loops]]),
+            np.concatenate([dst, src[~loops]]),
+        )
+    if dedup and src.shape[0]:
+        key = src * np.int64(n or 1) + dst
+        _, first = np.unique(key, return_index=True)
+        first.sort()
+        src, dst = src[first], dst[first]
+    counts = np.bincount(src, minlength=n).astype(VERTEX_DTYPE)
+    indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    if sort_neighbors:
+        order = np.lexsort((dst, src))
+    else:
+        order = np.argsort(src, kind="stable")
+    return indptr, dst[order]
+
+
+FLAG_NAMES = ("symmetrize", "dedup", "drop_self_loops", "sort_neighbors")
+ALL_FLAGS = [
+    dict(zip(FLAG_NAMES, combo))
+    for combo in itertools.product([True, False], repeat=4)
+]
+
+
+def assert_bit_identical(edges, flags):
+    g = build_csr(edges, **flags)
+    indptr, indices = reference_build_csr(edges, **flags)
+    for got, want in ((g.indptr, indptr), (g.indices, indices)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), flags
+
+
+@st.composite
+def multigraphs(draw, max_n=30, max_edges=120):
+    """Edge lists with repeats, mirrors and self loops left in."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=max_edges,
+        )
+    )
+    src = np.array([u for u, _ in pairs], dtype=VERTEX_DTYPE)
+    dst = np.array([v for _, v in pairs], dtype=VERTEX_DTYPE)
+    return EdgeList(n, src, dst)
+
+
+@pytest.mark.parametrize(
+    "flags", ALL_FLAGS,
+    ids=lambda f: "-".join(k for k in FLAG_NAMES if f[k]) or "none",
+)
+class TestMatchesReferenceBuilder:
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_multigraphs(self, flags, edges):
+        assert_bit_identical(edges, flags)
+
+    def test_empty_graph(self, flags):
+        empty = np.empty(0, dtype=VERTEX_DTYPE)
+        assert_bit_identical(EdgeList(5, empty, empty), flags)
+
+    def test_zero_vertices(self, flags):
+        empty = np.empty(0, dtype=VERTEX_DTYPE)
+        assert_bit_identical(EdgeList(0, empty, empty), flags)
+
+    def test_only_self_loops(self, flags):
+        loops = np.array([3, 1, 3, 0, 1], dtype=VERTEX_DTYPE)
+        assert_bit_identical(EdgeList(4, loops, loops), flags)
+
+    def test_isolated_vertices(self, flags):
+        src = np.array([7, 2, 7, 9], dtype=VERTEX_DTYPE)
+        dst = np.array([2, 7, 9, 7], dtype=VERTEX_DTYPE)
+        assert_bit_identical(EdgeList(12, src, dst), flags)
+
+    def test_skewed_random_multigraph(self, flags):
+        rng = np.random.default_rng(5)
+        src = rng.zipf(1.6, size=4000) % 300
+        dst = rng.integers(0, 300, size=4000)
+        assert_bit_identical(EdgeList(300, src, dst), flags)
+
+
+def test_packed_key_overflow_rejected():
+    """``src * n + dst`` must not wrap: 2^32 vertices need 2^64 keys."""
+    n = 2**32
+    src = np.array([0, n - 1], dtype=VERTEX_DTYPE)
+    dst = np.array([n - 1, 1], dtype=VERTEX_DTYPE)
+    edges = EdgeList(n, src, dst)
+    with pytest.raises(GraphFormatError, match="packed edge key"):
+        edges.deduplicated()
+    with pytest.raises(GraphFormatError, match="packed edge key"):
+        build_csr(edges)
+
+
+def test_largest_packable_vertex_count_accepted():
+    n = 3_037_000_499
+    src = np.array([n - 1, n - 1], dtype=VERTEX_DTYPE)
+    dst = np.array([n - 2, n - 2], dtype=VERTEX_DTYPE)
+    kept = EdgeList(n, src, dst).deduplicated()
+    assert kept.as_pairs() == [(n - 1, n - 2)]
+    with pytest.raises(GraphFormatError, match="packed edge key"):
+        EdgeList(n + 1, src, dst).deduplicated()

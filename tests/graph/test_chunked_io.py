@@ -7,7 +7,10 @@ import pytest
 
 from repro.constants import VERTEX_DTYPE
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array
+from repro.generators.datasets import SIZE_TIERS, load_dataset
+from repro.generators.kronecker import kronecker_edges
+from repro.graph.builder import build_csr, from_edge_array
+from repro.graph.coo import EdgeList
 from repro.graph.io import (
     build_csr_streaming,
     iter_edge_list_chunks,
@@ -113,6 +116,36 @@ class TestStreamingBuilder:
         whole = from_edge_array(all_src, all_dst, num_vertices=n)
         assert streamed == whole
         assert streamed.num_vertices == n
+
+    @pytest.mark.parametrize("chunk", [1000, 1 << 20])
+    def test_tiny_kron_bit_identical(self, chunk):
+        """Skewed R-MAT records (many duplicates, some self loops) at the
+        ``tiny`` tier: the streamed CSR equals ``build_csr``'s array for
+        array and dtype for dtype, and both equal the registry's graph."""
+        scale = SIZE_TIERS["tiny"]
+        n = 1 << scale
+        rng = np.random.default_rng(42)
+        src, dst = kronecker_edges(scale, 16 * n, rng=rng)
+        perm = rng.permutation(n).astype(VERTEX_DTYPE)
+        edges = EdgeList(n, src, dst).relabeled(perm, n)
+        whole = build_csr(edges)
+        streamed = build_csr_streaming(
+            lambda: _chunked(edges.src, edges.dst, chunk), num_vertices=n
+        )
+        registry = load_dataset("kron", "tiny", seed=42)
+        for g in (streamed, registry):
+            for got, want in (
+                (g.indptr, whole.indptr), (g.indices, whole.indices)
+            ):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_packed_key_overflow_rejected_up_front(self):
+        def chunks():
+            raise AssertionError("stream read before the vertex check")
+
+        with pytest.raises(GraphFormatError, match="packed edge key"):
+            build_csr_streaming(chunks, num_vertices=2**32)
 
 
 class TestChunkedEdgeList:

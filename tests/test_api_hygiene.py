@@ -63,3 +63,20 @@ def test_version_matches_pyproject():
     ).read_text()
     declared = re.search(r'version = "([^"]+)"', pyproject).group(1)
     assert repro.__version__ == declared
+
+
+def test_no_np_unique_outside_nputil():
+    """``np.unique`` takes a hash-based path on numpy 2.x that is an order
+    of magnitude slower than sort plus mask; the library's one
+    distinct-values primitive is :func:`repro.nputil.sorted_unique`."""
+    import pathlib
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{lineno}"
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "nputil.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.unique(" in line
+    ]
+    assert not offenders, f"np.unique( outside nputil.py: {offenders}"
