@@ -63,8 +63,8 @@ SMOKE_GRAPHS: tuple[tuple[str, Callable[[], CSRGraph]], ...] = (
 #: tracks) plus one frontier pipeline of each flavour (label push, BFS
 #: level sweep) so the process backend's frontier task bodies are
 #: exercised end-to-end by CI, plus the plan layer: one composed plan
-#: with no legacy alias and the ``auto`` meta-algorithm (whose selected
-#: plan lands in the record's ``plan`` field).
+#: with no legacy alias and ``auto`` (each record's ``plan`` field names
+#: the composition that ran).
 SMOKE_ALGORITHMS = (
     "afforest", "sv", "fastsv", "lp-datadriven", "bfs", "kout+sv", "auto",
 )
@@ -196,9 +196,9 @@ def compare_against_baseline(
 
     Returns ``(failures, notes)``.  Failures always include *semantic*
     regressions — a (dataset, algorithm, backend) combination that
-    vanished, a component-count change, or ``auto`` selecting a different
-    plan than the one on record (probes are deterministic, so a drift
-    means the decision rule changed without the baseline being
+    vanished, a component-count change, or a record running a different
+    plan than the one on record (plan choice is deterministic, so a
+    drift means a name was remapped without the baseline being
     regenerated).
 
     With ``fail_threshold`` set (e.g. ``1.25``), timing becomes a hard
@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         help="compare against this committed report (e.g. BENCH_smoke.json): "
-        "component counts and auto's plan choice always gate; timings "
+        "component counts and each record's plan always gate; timings "
         "gate too when --fail-threshold is set",
     )
     parser.add_argument(

@@ -152,7 +152,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     labels = result.labels
     tag = "" if args.backend == "vectorized" else f" [{args.backend}]"
     # Plan provenance: shown only when the name does not already determine
-    # the composition — i.e. `auto`, whose choice is made at runtime.
+    # the composition (the `distributed` wrapper, which runs none+fastsv).
     implied = CANONICAL_PLANS.get(args.algorithm, args.algorithm)
     if result.plan and result.plan != implied:
         tag += f" (plan {result.plan})"

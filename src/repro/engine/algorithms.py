@@ -5,8 +5,8 @@ registry name to its engine entry point with metadata: a one-line
 description, default parameters, and the execution backends it supports.
 The classical algorithms are *canonical plans* — fixed points of the
 sampling × finish space (:mod:`repro.engine.plan`) whose composed
-execution is bit-identical to the historical monolithic pipelines; the
-``auto`` meta-algorithm probes the graph and selects a plan at runtime;
+execution is bit-identical to the historical monolithic pipelines
+(``auto`` is the measured-best of them, Afforest's ``kout+settle``);
 only the distributed and sequential references remain single-substrate
 wrappers (all return the unified :class:`~repro.engine.result.CCResult`).
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.auto import auto_components
 from repro.engine.backends import DistributedBackend, ExecutionBackend
 from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.engine.plan import PLAN_BACKENDS, run_plan
@@ -135,15 +134,14 @@ def _run_dobfs(graph: CSRGraph, backend: ExecutionBackend, **params) -> CCResult
 
 @register(
     "auto",
-    description="adaptive meta-algorithm: probe degree skew, "
-    "pseudo-diameter and giant-component coverage, then run the "
-    "selected plan",
+    description="the measured-best plan on every graph: Afforest's "
+    "kout+settle (sampling + giant-component skip), with no probes",
     backends=PIPELINE_BACKENDS,
     instrumented=True,
 )
 def _run_auto(graph: CSRGraph, backend: ExecutionBackend, **params) -> CCResult:
-    """Engine entry point for runtime plan selection."""
-    return auto_components(graph, backend, **params)
+    """Engine entry point for ``auto`` (see :mod:`repro.engine.auto`)."""
+    return run_plan("kout+settle", graph, backend, **params)
 
 
 @register(

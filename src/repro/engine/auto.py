@@ -1,147 +1,30 @@
-"""The ``auto`` meta-algorithm: probe the graph, pick a plan at runtime.
+"""The ``auto`` algorithm: the measured-best plan, ``kout+settle``.
 
-Following Jain et al.'s adaptive algorithm selection (PAPERS.md), cheap
-graph statistics predict which point of the sampling × finish plan space
-wins, so the engine can choose per input instead of per benchmark:
-
-- **degree skew** (max/mean degree, :func:`repro.graph.properties.degree_statistics`)
-  — power-law graphs reward neighbour-round sampling, whose first rounds
-  collapse the hub-dominated core;
-- **pseudo-diameter** (double-sweep BFS via
-  :func:`repro.graph.properties.bfs_levels`) — high-diameter road-like
-  graphs punish round-synchronous propagation (O(D) rounds) and reward
-  pointer-jumping finishes;
-- **giant-component coverage** (fraction of vertices reached from the
-  max-degree vertex, read off the first sweep for free) — component
-  skipping only pays when a giant component exists.
-
-The decision rule (thresholds documented in ``docs/plans.md``):
-
-1. ``pseudo_diameter > 24`` → ``none+fastsv`` (pointer jumping tames the
-   diameter);
-2. else ``skew >= 4`` and ``coverage >= 0.5`` → ``kout+settle`` (the
-   paper's Afforest configuration: sampling plus giant-component skip);
-3. else → ``none+lp-datadriven`` (frontier propagation: near-linear work
-   on low-diameter, low-skew inputs).
-
-Probe costs and the decision are recorded on the trace: each probe is a
-``probe`` span with its statistics as attributes, and the enclosing
-``auto`` span carries the chosen ``plan``.
+``auto`` runs Afforest's plan (neighbour-round sampling, giant-component
+skip, settle finish) on every graph and is registered like ``afforest``.
+It probes nothing: no plan chosen from degree skew or a BFS
+pseudo-diameter beat ``kout+settle`` on any measured input, and the one
+decision left after sampling, whether to skip the giant component,
+never lost by more than run noise when taken (``docs/plans.md`` has the
+tables).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.backends import ExecutionBackend
-from repro.engine.plan import get_plan, run_plan
-from repro.engine.result import CCResult
+from repro.engine.plan import CANONICAL_PLANS
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import bfs_levels, degree_statistics
-from repro.obs import Tracer, phase_label
+from repro.obs import Tracer
 
-__all__ = [
-    "DIAMETER_THRESHOLD",
-    "SKEW_THRESHOLD",
-    "COVERAGE_THRESHOLD",
-    "FALLBACK_PLAN",
-    "select_plan",
-    "auto_components",
-]
-
-#: pseudo-diameter above which pointer-jumping (FastSV) is chosen.
-DIAMETER_THRESHOLD = 24
-#: max/mean degree ratio above which the graph counts as skewed.
-SKEW_THRESHOLD = 4.0
-#: reachable fraction from the max-degree vertex above which a giant
-#: component is assumed (making the skip glue worthwhile).
-COVERAGE_THRESHOLD = 0.5
-#: plan used for trivial graphs (no vertices or no edges).
-FALLBACK_PLAN = "none+lp"
+__all__ = ["select_plan"]
 
 
 def select_plan(
     graph: CSRGraph, *, tracer: Tracer | None = None
 ) -> tuple[str, dict]:
-    """Probe ``graph`` and return ``(plan name, probe statistics)``.
+    """Return ``("kout+settle", {})`` without doing any work on ``graph``.
 
-    Probes are recorded as ``probe`` spans (with their statistics as
-    span attributes) on ``tracer`` when one is given and enabled.
+    Kept with its old signature for callers that time plan selection as
+    a layer of its own: selection is now free, and it reports no probe
+    statistics because it takes none.
     """
-    if tracer is None:
-        tracer = Tracer(False)
-    n = graph.num_vertices
-    m = graph.num_directed_edges
-    if n == 0 or m == 0:
-        return FALLBACK_PLAN, {"trivial": True}
-
-    with tracer.span(phase_label("probe", probe="degree")) as span:
-        stats = degree_statistics(graph)
-        skew = float(stats.max / stats.mean) if stats.mean else 0.0
-        if span is not None:
-            span.attrs.update(skew=round(skew, 3), max_degree=stats.max)
-
-    with tracer.span(phase_label("probe", probe="diameter")) as span:
-        source = int(np.argmax(np.asarray(graph.degree())))
-        levels = bfs_levels(graph, source)
-        reached = levels >= 0
-        coverage = float(np.count_nonzero(reached)) / n
-        # Double sweep: re-run from the farthest reached vertex; its
-        # eccentricity lower-bounds the component's diameter tightly.
-        far = int(np.argmax(np.where(reached, levels, -1)))
-        diameter = int(bfs_levels(graph, far).max())
-        if span is not None:
-            span.attrs.update(
-                diameter=diameter, coverage=round(coverage, 3), source=source
-            )
-
-    if diameter > DIAMETER_THRESHOLD:
-        plan = "none+fastsv"
-    elif skew >= SKEW_THRESHOLD and coverage >= COVERAGE_THRESHOLD:
-        plan = "kout+settle"
-    else:
-        plan = "none+lp-datadriven"
-    probes = {
-        "skew": skew,
-        "diameter": diameter,
-        "coverage": coverage,
-    }
-    return plan, probes
-
-
-def auto_components(
-    graph: CSRGraph, backend: ExecutionBackend, **params
-) -> CCResult:
-    """Engine entry point for ``auto``: probe, select, run.
-
-    Keyword arguments are forwarded to the chosen plan when it accepts
-    them and silently dropped otherwise (callers cannot know which plan
-    wins, so unknown-parameter errors would make ``auto`` unusable with
-    any tuning knob).
-    """
-    tracer = backend.instr.tracer
-    with tracer.span(phase_label("auto")) as span:
-        plan_name, probes = select_plan(graph, tracer=tracer)
-        if span is not None:
-            span.attrs.update(plan=plan_name, **probes)
-            # Probe overhead broken out for the adaptive benchmark: the
-            # float truth as a gauge, plus an integer microsecond counter
-            # so it surfaces through ``result.counters`` like the rest.
-            probe_seconds = sum(
-                c.duration for c in span.children if c.name == "probe"
-            )
-            backend.instr.metrics.gauge("probe_seconds").set(probe_seconds)
-            backend.instr.count(
-                "probe_seconds_us", int(round(probe_seconds * 1e6))
-            )
-    plan = get_plan(plan_name)
-    accepted = set(plan.accepted_params())
-    forwarded = {k: v for k, v in params.items() if k in accepted}
-    result = run_plan(plan, graph, backend, **forwarded)
-    if not probes.get("trivial"):
-        result.counters.update(
-            probe_diameter=int(probes["diameter"]),
-            probe_coverage_pct=int(round(100 * probes["coverage"])),
-            probe_degree_skew_x100=int(round(100 * probes["skew"])),
-        )
-    return result
+    return CANONICAL_PLANS["auto"], {}

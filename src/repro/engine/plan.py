@@ -63,10 +63,12 @@ PLAN_BACKENDS = ("vectorized", "simulated", "process", "distributed")
 PLAN_PARAMS = ("seed", "skip_largest", "sample_size")
 
 #: legacy registry name -> composed plan name (identical semantics; the
-#: ``afforest-noskip`` alias differs only in its registered defaults).
+#: ``afforest-noskip`` alias differs only in its registered defaults, and
+#: ``auto`` is the measured-best plan, see :mod:`repro.engine.auto`).
 CANONICAL_PLANS = {
     "afforest": "kout+settle",
     "afforest-noskip": "kout+settle",
+    "auto": "kout+settle",
     "sv": "none+sv",
     "fastsv": "none+fastsv",
     "lp": "none+lp",

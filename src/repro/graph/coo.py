@@ -70,21 +70,6 @@ class EdgeList:
         """Number of stored (directed) edge records."""
         return int(self.src.shape[0])
 
-    def symmetrized(self) -> "EdgeList":
-        """Return an edge list containing both orientations of every edge.
-
-        Self loops are kept single — duplicating them would double-count the
-        loop in CSR degree.
-        """
-        loops = self.src == self.dst
-        rev_src = self.dst[~loops]
-        rev_dst = self.src[~loops]
-        return EdgeList(
-            self.num_vertices,
-            np.concatenate([self.src, rev_src]),
-            np.concatenate([self.dst, rev_dst]),
-        )
-
     def deduplicated(self) -> "EdgeList":
         """Drop exact duplicate ``(src, dst)`` records (orientation-aware),
         keeping the first occurrence of each in record order."""
@@ -94,11 +79,6 @@ class EdgeList:
         _, first = sorted_unique(self.src * base + self.dst, return_index=True)
         first.sort()
         return EdgeList(self.num_vertices, self.src[first], self.dst[first])
-
-    def without_self_loops(self) -> "EdgeList":
-        """Drop ``(v, v)`` records."""
-        keep = self.src != self.dst
-        return EdgeList(self.num_vertices, self.src[keep], self.dst[keep])
 
     def canonicalized(self) -> "EdgeList":
         """Normalise each record to ``src <= dst`` (undirected canonical

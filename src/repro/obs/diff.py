@@ -196,7 +196,9 @@ def _as_run(source: Any, label: str | None = None) -> dict[str, Any]:
 
 
 #: counters that restate wall time or identity; excluded from attribution
-#: because the phase table already tells that story.  The communication
+#: because the phase table already tells that story.  ``auto`` no longer
+#: probes, but ledger records written before it stopped still carry
+#: ``probe_seconds_us``.  The communication
 #: totals scale with the distributed world size rather than with the
 #: regression being attributed, so a ranks=2 vs ranks=4 diff would drown
 #: the clause in traffic deltas.

@@ -81,14 +81,14 @@ class TestSmoke:
         )
         assert len(SMOKE_ALGORITHMS) == 7
         assert all(r.get("matches_oracle", True) for r in report["records"])
-        # Plan provenance: auto's record names the plan the probes chose.
+        # Plan provenance: each record names the plan that ran.
         plans = {
             (r["dataset"], r["algorithm"]): r["plan"]
             for r in report["records"]
             if "plan" in r
         }
         assert plans[("powerlaw-5k", "auto")] == "kout+settle"
-        assert plans[("lattice-70x70", "auto")] == "none+fastsv"
+        assert plans[("lattice-70x70", "auto")] == "kout+settle"
         assert plans[("powerlaw-5k", "kout+sv")] == "kout+sv"
 
     def test_baseline_compare_flags_semantic_drift(self):

@@ -4,8 +4,7 @@ PR 6's acceptance bar: every composed ``<sampling>+<finish>`` plan must
 produce the exact component-minimum labeling on every backend (the same
 bit-identical contract the monolithic pipelines carried), the canonical
 algorithm names must keep routing to their historical compositions, and
-the ``auto`` meta-algorithm must pick different plans for diameter-bound
-versus skew-bound graphs and record the decision in the trace.
+``auto`` must run exactly what ``afforest`` runs, with no probe work.
 """
 
 import numpy as np
@@ -13,16 +12,13 @@ import pytest
 
 from repro import engine
 from repro.engine import Plan, PlanRegistry, ProcessParallelBackend, SimulatedBackend
-from repro.engine.auto import (
-    DIAMETER_THRESHOLD,
-    FALLBACK_PLAN,
-    SKEW_THRESHOLD,
-    select_plan,
-)
+from repro.engine.auto import select_plan
 from repro.engine.finish import FINISHES
+from repro.engine.plan import PLAN_BACKENDS
 from repro.engine.sampling import SAMPLINGS
 from repro.errors import ConfigurationError
 from repro.generators.components import component_fraction_graph
+from repro.generators.datasets import CPU_SUITE, load_dataset
 from repro.generators.lattice import grid_graph
 from repro.generators.powerlaw import barabasi_albert_graph
 from repro.graph import from_edge_list
@@ -34,6 +30,7 @@ from repro.unionfind import sequential_components
 CANONICAL = {
     "afforest": "kout+settle",
     "afforest-noskip": "kout+settle",
+    "auto": "kout+settle",
     "sv": "none+sv",
     "fastsv": "none+fastsv",
     "lp": "none+lp",
@@ -211,56 +208,78 @@ class TestRunSugar:
             engine.run("sv", mixed_graph, plan="kout+sv")
 
 
+def _auto_graphs() -> list[tuple[str, CSRGraph]]:
+    graphs = [(name, load_dataset(name, "tiny")) for name in CPU_SUITE]
+    return graphs + [
+        ("lattice", grid_graph(16, 16)),
+        ("empty", from_edge_list([], num_vertices=0)),
+        ("isolated", from_edge_list([], num_vertices=5)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def auto_backends():
+    """Backend factories for the four substrates.
+
+    The simulated machine is rebuilt per run so both runs start from the
+    same scheduler state; the process pool is shared across the module.
+    """
+    pool = ProcessParallelBackend(workers=2)
+    factories = {
+        "vectorized": engine.VectorizedBackend,
+        "simulated": lambda: SimulatedBackend(SimulatedMachine(3, seed=7)),
+        "process": lambda: pool,
+        "distributed": lambda: engine.make_backend("distributed", ranks=2),
+    }
+    yield factories
+    pool.close()
+
+
 class TestAutoSelection:
-    def test_lattice_picks_diameter_plan(self):
-        plan, probes = select_plan(grid_graph(16, 16))
-        assert plan == "none+fastsv"
-        assert probes["diameter"] > DIAMETER_THRESHOLD
-
-    def test_powerlaw_picks_sampling_plan(self):
-        plan, probes = select_plan(
-            barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
-        )
-        assert plan == "kout+settle"
-        assert probes["skew"] >= SKEW_THRESHOLD
-
-    def test_trivial_graph_falls_back(self, empty_graph, isolated_vertices):
-        for g in (empty_graph, isolated_vertices):
-            plan, probes = select_plan(g)
-            assert plan == FALLBACK_PLAN
-            assert probes == {"trivial": True}
-
-    def test_auto_runs_differ_by_topology(self):
-        lattice = engine.run("auto", grid_graph(16, 16))
-        powerlaw = engine.run(
-            "auto", barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
-        )
-        assert lattice.plan != powerlaw.plan
-        assert lattice.algorithm == powerlaw.algorithm == "auto"
-        for result, graph in (
-            (lattice, grid_graph(16, 16)),
-            (powerlaw, barabasi_albert_graph(400, edges_per_vertex=4, seed=3)),
+    @pytest.mark.parametrize("substrate", PLAN_BACKENDS)
+    @pytest.mark.parametrize(
+        "family,graph", _auto_graphs(), ids=lambda v: v if isinstance(v, str) else ""
+    )
+    def test_auto_bit_identical_to_afforest(
+        self, family, graph, substrate, auto_backends
+    ):
+        make = auto_backends[substrate]
+        auto = engine.run("auto", graph, backend=make())
+        afforest = engine.run("afforest", graph, backend=make())
+        assert auto.algorithm == "auto"
+        assert auto.plan == afforest.plan == "kout+settle"
+        assert np.array_equal(auto.labels, afforest.labels)
+        assert np.array_equal(auto.labels, _component_minima(graph))
+        for field in (
+            "largest_label",
+            "edges_sampled",
+            "edges_final",
+            "edges_skipped",
+            "link_rounds",
+            "compress_passes",
         ):
-            assert np.array_equal(result.labels, _component_minima(graph))
+            assert getattr(auto, field) == getattr(afforest, field), field
 
-    def test_auto_records_decision_in_trace(self):
+    def test_profiled_trace_has_no_probe_span(self):
         result = engine.run("auto", grid_graph(16, 16), profile=True)
         assert result.trace is not None
-        spans = {span.name: span for span, _ in result.trace.walk()}
-        assert spans["auto"].attrs["plan"] == result.plan == "none+fastsv"
-        assert spans["auto"].attrs["diameter"] > DIAMETER_THRESHOLD
-        probe_kinds = {
-            span.attrs["probe"]
-            for span, _ in result.trace.walk()
-            if span.name == "probe"
-        }
-        assert probe_kinds == {"degree", "diameter"}
-        assert result.counters["probe_diameter"] > DIAMETER_THRESHOLD
+        names = {span.name for span, _ in result.trace.walk()}
+        assert "probe" not in names
+        assert "probe_seconds" not in result.trace.gauges
+        assert not any(key.startswith("probe_") for key in result.counters)
 
     def test_auto_forwards_only_accepted_params(self):
-        # kout+settle accepts seed; none+fastsv does not — auto must not
-        # explode when the probe picks a plan that ignores a parameter.
-        graph = grid_graph(16, 16)
+        graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
         result = engine.run("auto", graph, seed=42)
-        assert result.plan == "none+fastsv"
+        assert result.params["seed"] == 42
+        expected = engine.run("afforest", graph, seed=42)
+        assert np.array_equal(result.labels, expected.labels)
+        assert result.edges_skipped == expected.edges_skipped
         assert np.array_equal(result.labels, _component_minima(graph))
+        with pytest.raises(ConfigurationError, match="bogus"):
+            engine.run("auto", graph, bogus=1)
+
+    def test_powerlaw_picks_sampling_plan(self):
+        # Selection takes no probes: every graph gets kout+settle.
+        graph = barabasi_albert_graph(400, edges_per_vertex=4, seed=3)
+        assert select_plan(graph) == ("kout+settle", {})

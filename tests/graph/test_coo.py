@@ -43,14 +43,6 @@ class TestConstruction:
 
 
 class TestTransforms:
-    def test_symmetrized_doubles_plain_edges(self):
-        e = el(3, [(0, 1), (1, 2)]).symmetrized()
-        assert sorted(e.as_pairs()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-
-    def test_symmetrized_keeps_loops_single(self):
-        e = el(2, [(0, 0), (0, 1)]).symmetrized()
-        assert sorted(e.as_pairs()) == [(0, 0), (0, 1), (1, 0)]
-
     def test_deduplicated(self):
         e = el(3, [(0, 1), (0, 1), (1, 0), (2, 1)]).deduplicated()
         # orientation-aware: (0,1) and (1,0) both survive once
@@ -59,10 +51,6 @@ class TestTransforms:
     def test_deduplicated_preserves_order(self):
         e = el(4, [(2, 3), (0, 1), (2, 3), (1, 2)]).deduplicated()
         assert e.as_pairs() == [(2, 3), (0, 1), (1, 2)]
-
-    def test_without_self_loops(self):
-        e = el(3, [(0, 0), (0, 1), (2, 2)]).without_self_loops()
-        assert e.as_pairs() == [(0, 1)]
 
     def test_canonicalized(self):
         e = el(4, [(3, 1), (0, 2)]).canonicalized()
@@ -95,7 +83,5 @@ class TestTransforms:
 
     def test_empty_transforms_are_noops(self):
         e = el(3, [])
-        assert e.symmetrized().num_edges == 0
         assert e.deduplicated().num_edges == 0
-        assert e.without_self_loops().num_edges == 0
         assert e.canonicalized().num_edges == 0

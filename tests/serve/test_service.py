@@ -31,7 +31,7 @@ class TestInitialSolve:
         for name in ("sv", "kout+sv", "auto"):
             svc = ConnectivityService(two_cliques, algorithm=name)
             assert svc.num_components == 2
-        assert svc.plan  # auto records its selected plan
+        assert svc.plan == "kout+settle"  # auto runs afforest's plan
 
     def test_fingerprint_carried(self, two_cliques, service):
         assert service.fingerprint["vertices"] == 8

@@ -80,3 +80,34 @@ def test_no_np_unique_outside_nputil():
         if "np.unique(" in line
     ]
     assert not offenders, f"np.unique( outside nputil.py: {offenders}"
+
+
+def _imported_modules(tree) -> set[str]:
+    """Dotted names a module's import statements bring in."""
+    import ast
+
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_engine_does_not_import_graph_properties():
+    """Graph probes (degree statistics, BFS sweeps) stay out of the solve
+    path: no module under ``repro.engine`` imports
+    :mod:`repro.graph.properties`."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        str(path.relative_to(root))
+        for path in sorted((root / "engine").rglob("*.py"))
+        if "repro.graph.properties"
+        in _imported_modules(ast.parse(path.read_text()))
+    ]
+    assert not offenders, f"engine modules import graph properties: {offenders}"
