@@ -38,7 +38,7 @@ def main() -> None:
     # 3. The detailed result: work counters show how little of the graph
     #    Afforest actually touched.
     # ------------------------------------------------------------------ #
-    result = repro.afforest(graph, neighbor_rounds=2)
+    result = repro.engine.run("afforest", graph, neighbor_rounds=2)
     print(
         f"afforest: {result.num_components} components | "
         f"sampled {result.edges_sampled} edge slots, "
@@ -64,7 +64,7 @@ def main() -> None:
     # 5. Scale up: a Kronecker (Graph500) graph with 2**14 vertices.
     # ------------------------------------------------------------------ #
     big = repro.generators.kronecker_graph(scale=14, edge_factor=16, seed=0)
-    result = repro.afforest(big)
+    result = repro.engine.run("afforest", big)
     print(
         f"\nkron scale 14: {big.num_vertices} vertices, {big.num_edges} edges -> "
         f"{result.num_components} components "

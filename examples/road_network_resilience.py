@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 import repro
-from repro.baselines import label_propagation
 from repro.generators import road_network_graph
 from repro.graph.builder import build_csr
 from repro.graph.coo import EdgeList
@@ -45,10 +44,10 @@ def main() -> None:
     # Why diameter matters: label propagation pays for every hop.
     # ------------------------------------------------------------------ #
     t0 = time.perf_counter()
-    lp = label_propagation(graph)
+    lp = repro.engine.run("lp", graph)
     t_lp = time.perf_counter() - t0
     t0 = time.perf_counter()
-    af = repro.afforest(graph)
+    af = repro.engine.run("afforest", graph)
     t_af = time.perf_counter() - t0
     print(
         f"\nbaseline check: LP needed {lp.iterations} iterations "
@@ -64,7 +63,7 @@ def main() -> None:
     for fraction in (0.05, 0.10, 0.20, 0.30, 0.40):
         damaged = drop_edges(graph, fraction, rng)
         t0 = time.perf_counter()
-        result = repro.afforest(damaged)
+        result = repro.engine.run("afforest", damaged)
         ms = (time.perf_counter() - t0) * 1000
         labels = result.labels
         giant = np.bincount(labels).max()

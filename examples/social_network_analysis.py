@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 import repro
-from repro.baselines import dobfs_cc, label_propagation, shiloach_vishkin
 from repro.generators import chung_lu_graph
 from repro.graph.properties import component_census, degree_statistics
 
@@ -56,17 +55,10 @@ def main() -> None:
     # Algorithm comparison.
     # ------------------------------------------------------------------ #
     print("\nalgorithm comparison:")
-    runs = {
-        "afforest": lambda: repro.afforest(graph),
-        "afforest-noskip": lambda: repro.afforest(graph, skip_largest=False),
-        "sv": lambda: shiloach_vishkin(graph),
-        "lp": lambda: label_propagation(graph),
-        "dobfs": lambda: dobfs_cc(graph),
-    }
     timings = {}
-    for name, fn in runs.items():
+    for name in ("afforest", "afforest-noskip", "sv", "lp", "dobfs"):
         t0 = time.perf_counter()
-        fn()
+        repro.engine.run(name, graph)
         timings[name] = time.perf_counter() - t0
         print(f"  {name:>16}: {timings[name] * 1000:8.1f} ms")
     print(
@@ -78,7 +70,7 @@ def main() -> None:
     # Why: the skip heuristic removes the giant component's edges from
     # the final phase entirely.
     # ------------------------------------------------------------------ #
-    result = repro.afforest(graph)
+    result = repro.engine.run("afforest", graph)
     print(
         f"\nwork profile: sampled {result.edges_sampled} slots "
         f"({result.neighbor_rounds} rounds), final {result.edges_final}, "

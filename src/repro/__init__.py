@@ -14,7 +14,7 @@ Quickstart::
 
     g = repro.generators.kronecker_graph(scale=14)
     labels = repro.connected_components(g)            # Afforest
-    result = repro.afforest(g, neighbor_rounds=2)     # detailed result
+    result = repro.engine.run("afforest", g, neighbor_rounds=2)  # detailed
     print(result.num_components, result.skip_fraction)
 """
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from repro import (
     analysis,
-    baselines,
     core,
     distributed,
     engine,
@@ -32,14 +31,6 @@ from repro import (
     graph,
     parallel,
 )
-from repro.baselines import (
-    bfs_cc,
-    dobfs_cc,
-    label_propagation,
-    label_propagation_datadriven,
-    shiloach_vishkin,
-)
-from repro.core import AfforestResult, afforest
 from repro.engine import CCResult
 from repro.errors import (
     ConfigurationError,
@@ -60,22 +51,14 @@ __all__ = [
     "from_edge_list",
     "ParentArray",
     "CCResult",
-    "AfforestResult",
-    "afforest",
     "connected_components",
     "sequential_components",
-    "bfs_cc",
-    "dobfs_cc",
-    "label_propagation",
-    "label_propagation_datadriven",
-    "shiloach_vishkin",
     "ReproError",
     "GraphFormatError",
     "InvariantViolationError",
     "ConfigurationError",
     "ConvergenceError",
     "analysis",
-    "baselines",
     "core",
     "distributed",
     "engine",

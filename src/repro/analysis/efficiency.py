@@ -15,14 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines import (
-    bfs_cc,
-    dobfs_cc,
-    label_propagation,
-    label_propagation_datadriven,
-    shiloach_vishkin,
-)
-from repro.core import afforest
+from repro.engine import run
 from repro.graph.csr import CSRGraph
 
 
@@ -46,7 +39,7 @@ def work_efficiency_report(graph: CSRGraph) -> list[WorkRecord]:
     denom = max(graph.num_directed_edges, 1)
     records = []
 
-    r = afforest(graph)
+    r = run("afforest", graph)
     records.append(
         WorkRecord(
             "afforest",
@@ -55,13 +48,13 @@ def work_efficiency_report(graph: CSRGraph) -> list[WorkRecord]:
             f"skipped {r.edges_skipped}",
         )
     )
-    rn = afforest(graph, skip_largest=False)
+    rn = run("afforest-noskip", graph)
     records.append(
         WorkRecord(
             "afforest-noskip", rn.edges_touched, rn.edges_touched / denom
         )
     )
-    d = dobfs_cc(graph)
+    d = run("dobfs", graph)
     records.append(
         WorkRecord(
             "dobfs",
@@ -70,11 +63,11 @@ def work_efficiency_report(graph: CSRGraph) -> list[WorkRecord]:
             f"{d.bottom_up_steps} bottom-up steps",
         )
     )
-    b = bfs_cc(graph)
+    b = run("bfs", graph)
     records.append(
         WorkRecord("bfs", b.edges_processed, b.edges_processed / denom)
     )
-    s = shiloach_vishkin(graph)
+    s = run("sv", graph)
     records.append(
         WorkRecord(
             "sv",
@@ -83,7 +76,7 @@ def work_efficiency_report(graph: CSRGraph) -> list[WorkRecord]:
             f"{s.iterations} iterations",
         )
     )
-    lp = label_propagation(graph)
+    lp = run("lp", graph)
     records.append(
         WorkRecord(
             "lp",
@@ -92,7 +85,7 @@ def work_efficiency_report(graph: CSRGraph) -> list[WorkRecord]:
             f"{lp.iterations} iterations",
         )
     )
-    lpd = label_propagation_datadriven(graph)
+    lpd = run("lp-datadriven", graph)
     records.append(
         WorkRecord(
             "lp-datadriven", lpd.edges_processed, lpd.edges_processed / denom

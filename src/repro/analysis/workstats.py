@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.shiloach_vishkin import shiloach_vishkin
 from repro.constants import DEFAULT_NEIGHBOR_ROUNDS, VERTEX_DTYPE
 from repro.core.compress import compress_all
 from repro.core.link import LinkCounters, link
+from repro.engine import run
 from repro.graph.csr import CSRGraph
 from repro.unionfind.parent import ParentArray
 
@@ -42,7 +42,7 @@ class WorkStats:
 
 def sv_workstats(graph: CSRGraph) -> WorkStats:
     """SV's Table II numbers: outer iterations and max tree depth."""
-    result = shiloach_vishkin(graph, track_depth=True)
+    result = run("sv", graph, track_depth=True)
     return WorkStats(
         algorithm="sv",
         iterations=float(result.iterations),

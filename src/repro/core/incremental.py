@@ -8,7 +8,7 @@ free.  :class:`IncrementalConnectivity` packages it with amortised path
 compression and component bookkeeping.
 
 Deletions are not supported (the tree-hooking family is inherently
-incremental-only); rebuild via :func:`repro.core.afforest.afforest` when
+incremental-only); rebuild with ``engine.run("afforest", graph)`` when
 edges disappear.
 """
 

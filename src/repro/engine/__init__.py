@@ -9,17 +9,19 @@ The engine ties four pieces together:
   harness;
 - the unified **result record** (:class:`~repro.engine.result.CCResult`)
   that every algorithm returns;
+- the **plan layer** (:mod:`~repro.engine.plan`) — the classical
+  algorithms are sampling × finish compositions, each phase written
+  exactly once against the backend primitives;
 - pluggable **execution backends**
   (:class:`~repro.engine.backends.VectorizedBackend` for NumPy batch
   kernels, :class:`~repro.engine.backends.SimulatedBackend` for the
   simulated parallel machine,
   :class:`~repro.engine.backends.ProcessParallelBackend` for real OS
-  processes over shared-memory π) against which the Afforest,
-  Shiloach–Vishkin, label-propagation, and BFS/DOBFS pipelines are
-  written exactly once;
-- uniform **instrumentation**
-  (:class:`~repro.engine.instrumentation.Instrumentation`) so any
-  profiled run yields a per-phase wall-time breakdown.
+  processes over shared-memory π,
+  :class:`~repro.engine.backends.DistributedBackend` for sharded
+  simulated ranks exchanging label deltas); each run binds a
+  :class:`~repro.obs.Tracer` to the backend so any profiled run yields
+  a per-phase span tree and wall-time breakdown.
 
 Usage::
 
@@ -55,17 +57,7 @@ from repro.engine.backends import (
     make_backend,
     resolve_label_dtype,
 )
-from repro.engine.instrumentation import Instrumentation
 from repro.engine.partition import EdgeBlock, partition_csr_blocks
-from repro.engine.pipelines import (
-    afforest_pipeline,
-    bfs_pipeline,
-    dobfs_pipeline,
-    lp_datadriven_pipeline,
-    lp_pipeline,
-    sv_pipeline,
-    sv_pipeline_edges,
-)
 from repro.engine.plan import (
     CANONICAL_PLANS,
     Plan,
@@ -107,7 +99,6 @@ __all__ = [
     "run_plan",
     "AlgorithmSpec",
     "CCResult",
-    "Instrumentation",
     "Trace",
     "Tracer",
     "ExecutionBackend",
@@ -121,13 +112,6 @@ __all__ = [
     "EdgeBlock",
     "partition_csr_blocks",
     "support_matrix_markdown",
-    "afforest_pipeline",
-    "bfs_pipeline",
-    "dobfs_pipeline",
-    "lp_datadriven_pipeline",
-    "lp_pipeline",
-    "sv_pipeline",
-    "sv_pipeline_edges",
 ]
 
 
@@ -226,8 +210,7 @@ def run(
         monitor = heartbeat
     else:
         monitor = HeartbeatMonitor(heartbeat)
-    instr = Instrumentation(tracer=tracer, heartbeat=monitor)
-    backend.bind(instr)
+    backend.bind(tracer, monitor)
     t_start = time.perf_counter()
     try:
         try:
@@ -238,7 +221,7 @@ def run(
                 result = spec.fn(graph, backend, **merged)
         finally:
             # Leave shared/reused backends with a clean disabled recorder.
-            backend.bind(Instrumentation(False))
+            backend.bind(Tracer(False))
         # Shared-memory labels must outlive the backend's segments.
         result.labels = backend.detach_labels(result.labels)
         if result.labels.dtype != VERTEX_DTYPE:

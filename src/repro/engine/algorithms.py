@@ -7,8 +7,8 @@ The classical algorithms are *canonical plans* — fixed points of the
 sampling × finish space (:mod:`repro.engine.plan`) whose composed
 execution is bit-identical to the historical monolithic pipelines
 (``auto`` is the measured-best of them, Afforest's ``kout+settle``);
-only the distributed and sequential references remain single-substrate
-wrappers (all return the unified :class:`~repro.engine.result.CCResult`).
+only the sequential reference remains a single-substrate wrapper (all
+return the unified :class:`~repro.engine.result.CCResult`).
 
 Composed plan names (``"kout+sv"`` and friends) need no registration:
 :func:`repro.engine.registry.get_algorithm` resolves any
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.backends import DistributedBackend, ExecutionBackend
+from repro.engine.backends import ExecutionBackend
 from repro.engine.finish import DEFAULT_ALPHA, DEFAULT_BETA
 from repro.engine.plan import PLAN_BACKENDS, run_plan
 from repro.engine.registry import register
@@ -27,8 +27,8 @@ from repro.engine.result import CCResult
 from repro.graph.csr import CSRGraph
 from repro.unionfind.sequential import sequential_components
 
-#: substrates the composed plans run on; the remaining algorithms wrap
-#: vectorized implementations and stay vectorized-only.
+#: substrates the composed plans run on; the sequential reference wraps
+#: a scalar implementation and stays vectorized-only.
 PIPELINE_BACKENDS = PLAN_BACKENDS
 
 
@@ -142,44 +142,6 @@ def _run_dobfs(graph: CSRGraph, backend: ExecutionBackend, **params) -> CCResult
 def _run_auto(graph: CSRGraph, backend: ExecutionBackend, **params) -> CCResult:
     """Engine entry point for ``auto`` (see :mod:`repro.engine.auto`)."""
     return run_plan("kout+settle", graph, backend, **params)
-
-
-@register(
-    "distributed",
-    description="delta-exchange fastsv over simulated ranks (edge shards "
-    "+ BSP supersteps shipping only changed labels)",
-)
-def _run_distributed(
-    graph: CSRGraph,
-    backend: ExecutionBackend,
-    *,
-    num_ranks: int = 4,
-    partition: str = "block",
-    **params,
-) -> CCResult:
-    """Engine entry point for distributed CC.
-
-    Runs the ``fastsv`` finish on an internally constructed
-    :class:`~repro.engine.backends.DistributedBackend` so the historical
-    ``engine.run("distributed", g, num_ranks=8)`` call keeps working; the
-    caller-selected outer backend only hosts instrumentation.  Prefer
-    ``engine.run(g, plan=..., backend="distributed", ranks=R)`` in new
-    code — it opens the whole plan space.
-    """
-    dist = DistributedBackend(ranks=num_ranks, partition=partition)
-    dist.bind(backend.instr)
-    result = run_plan("none+fastsv", graph, dist, **params)
-    result.labels = dist.detach_labels(result.labels)
-    stats = dist.comm.stats
-    result.counters.update(
-        {
-            "num_ranks": num_ranks,
-            "merge_rounds": stats.supersteps,
-            "bytes_sent": stats.bytes_sent,
-            "messages": stats.messages,
-        }
-    )
-    return result
 
 
 @register(

@@ -2,7 +2,7 @@
 
 The paper's pipelines are built from a small set of primitives — link an
 edge batch, compress the parent array, probe π for the giant component,
-hook-and-shortcut — that admit two execution substrates:
+hook-and-shortcut — that admit four execution substrates:
 
 - :class:`VectorizedBackend` — NumPy batch kernels
   (:func:`~repro.core.link.link_batch`,
@@ -15,13 +15,17 @@ hook-and-shortcut — that admit two execution substrates:
 - :class:`ProcessParallelBackend` — real OS processes over a parent array
   in ``multiprocessing.shared_memory``, edges partitioned into contiguous
   CSR edge blocks (:mod:`repro.engine.partition`); the multi-core
-  wall-clock implementation.
+  wall-clock implementation;
+- :class:`DistributedBackend` — simulated ranks that each own an edge
+  shard and replicate π, exchanging changed-label deltas in BSP
+  supersteps over :class:`~repro.distributed.comm.SimulatedComm`.
 
-Each pipeline in :mod:`repro.engine.pipelines` is written *once* against
+Each sampling and finish phase (:mod:`repro.engine.sampling`,
+:mod:`repro.engine.finish`) is written *once* against
 :class:`ExecutionBackend`; choosing the substrate is a constructor
 argument, not a separate code path.  Backend methods wrap their work in
-the bound :class:`~repro.engine.instrumentation.Instrumentation` timers,
-so profiled runs get a per-phase wall-time breakdown on any substrate.
+spans of the bound :class:`~repro.obs.trace.Tracer`, so profiled runs
+get a per-phase wall-time breakdown on any substrate.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from repro.distributed import partition as _dpart
 from repro.distributed.comm import SimulatedComm
 from repro.engine import partition as _part
 from repro.engine.bufferpool import BufferPool
-from repro.engine.instrumentation import Instrumentation
 from repro.engine.partition import (
     SharedVector,
     partition_csr_blocks,
@@ -57,7 +60,9 @@ from repro.engine.partition import (
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.nputil import segment_ranges, sorted_unique
+from repro.obs.heartbeat import HeartbeatMonitor
 from repro.obs.metrics import POW2_BUCKETS, RATIO_BUCKETS
+from repro.obs.trace import Tracer
 from repro.parallel.machine import KernelContext, SimulatedMachine
 from repro.parallel.metrics import RunStats
 
@@ -349,7 +354,7 @@ class ExecutionBackend:
                 f"unknown label dtype policy {label_dtype!r}; "
                 f"available: {list(LABEL_DTYPE_POLICIES)}"
             )
-        self.instr = Instrumentation(False)
+        self.bind(Tracer(False))
         #: label-width policy (see :func:`resolve_label_dtype`).
         self.label_dtype = label_dtype
         #: reusable scratch buffers for the hot-path kernels; fresh
@@ -360,21 +365,36 @@ class ExecutionBackend:
         self._edge_graph: CSRGraph | None = None
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
 
-    def bind(self, instr: Instrumentation) -> None:
-        """Attach the per-run instrumentation (done by ``engine.run``)."""
-        self.instr = instr
+    def bind(
+        self, tracer: Tracer, heartbeat: HeartbeatMonitor | None = None
+    ) -> None:
+        """Attach the per-run tracer and live heartbeat (done by
+        ``engine.run``)."""
+        self.tracer = tracer
+        self.heartbeat = heartbeat
+
+    def beat(
+        self,
+        phase: str,
+        *,
+        frontier: int | None = None,
+        changed: int | None = None,
+    ) -> None:
+        """Report a finished pipeline round to the live heartbeat, if any."""
+        if self.heartbeat is not None:
+            self.heartbeat.beat(phase, frontier=frontier, changed=changed)
 
     def _count_alloc(self, nbytes: int) -> None:
         """Buffer-pool allocation callback -> ``bytes_allocated`` counter."""
-        self.instr.count("bytes_allocated", int(nbytes))
+        self.tracer.metrics.counter("bytes_allocated").inc(int(nbytes))
 
     def _label_dtype(self, n: int) -> np.dtype:
         """Resolve (and record) the parent-array dtype for an ``n``-vertex
         run: the ``label_dtype_bits`` gauge makes the narrowing decision
         visible in profiled runs."""
         dtype = resolve_label_dtype(n, self.label_dtype)
-        if self.instr.metrics.enabled:
-            self.instr.metrics.gauge("label_dtype_bits").set(
+        if self.tracer.metrics.enabled:
+            self.tracer.metrics.gauge("label_dtype_bits").set(
                 dtype.itemsize * 8
             )
         return dtype
@@ -494,8 +514,8 @@ class ExecutionBackend:
         if changed:
             self.shortcut_step(pi, phase=phase)
         else:
-            self.instr.count("rounds_skipped")
-        self.instr.count("fused_passes")
+            self.tracer.metrics.counter("rounds_skipped").inc()
+        self.tracer.metrics.counter("fused_passes").inc()
         return changed
 
     def frontier_expand(
@@ -549,8 +569,8 @@ class ExecutionBackend:
     def record_frontier(self, size: int, *, phase: str) -> None:
         """Observe an active-frontier size into the ``frontier_size``
         histogram (no-op while metrics are disabled)."""
-        if self.instr.metrics.enabled:
-            self.instr.metrics.histogram(
+        if self.tracer.metrics.enabled:
+            self.tracer.metrics.histogram(
                 "frontier_size", POW2_BUCKETS
             ).observe(size)
 
@@ -597,7 +617,7 @@ class VectorizedBackend(ExecutionBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> int:
         """Batch link; returns the number of link rounds executed."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return link_batch(pi, src, dst)
 
     def link_neighbor_round(
@@ -605,7 +625,7 @@ class VectorizedBackend(ExecutionBackend):
     ) -> int:
         """Gather round-``r`` neighbour slots, then batch-link them."""
         src, dst = round_edges(graph, r)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return link_batch(pi, src, dst)
 
     def link_remaining(
@@ -630,9 +650,9 @@ class VectorizedBackend(ExecutionBackend):
         else:
             verts = np.arange(pi.shape[0], dtype=VERTEX_DTYPE)
             skipped = 0
-        with self.instr.timer(f"{phase}-gather"):
+        with self.tracer.span(f"{phase}-gather"):
             src, dst = remaining_edges(graph, verts, start)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             rounds = link_batch(pi, src, dst)
         return int(src.shape[0]), skipped, rounds
 
@@ -654,7 +674,7 @@ class VectorizedBackend(ExecutionBackend):
         per-pass ``π[π]`` gather goes through the pooled scratch buffer
         instead of allocating ``O(n)`` fresh memory every pass.
         """
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             passes = 0
             cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
             nxt = self.pool.get("jump", int(pi.shape[0]), pi.dtype)
@@ -671,7 +691,7 @@ class VectorizedBackend(ExecutionBackend):
 
     def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
         """The original SV single shortcut: ``pi <- pi[pi]`` once."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self._pointer_jump(pi)
 
     def find_largest(
@@ -683,7 +703,7 @@ class VectorizedBackend(ExecutionBackend):
         phase: str,
     ) -> int:
         """Mode of ``sample_size`` direct probes of π."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return approximate_largest_label(pi, sample_size, rng=rng)
 
     def hook_pass(
@@ -697,7 +717,7 @@ class VectorizedBackend(ExecutionBackend):
         CAS variant.
         """
         pool = self.pool
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             m = int(src.shape[0])
             cu = pool.take(pi, src, "hook-cu")
             cv = pool.take(pi, dst, "hook-cv")
@@ -709,10 +729,10 @@ class VectorizedBackend(ExecutionBackend):
             mask &= root
             if not mask.any():
                 return False
-            if self.instr.metrics.enabled:
+            if self.tracer.metrics.enabled:
                 # Label distance each winning hook covers: the Table II
                 # convergence signal (large early, shrinking per pass).
-                self.instr.metrics.histogram(
+                self.tracer.metrics.histogram(
                     "hook_distance", POW2_BUCKETS
                 ).observe_many(cv[mask] - cu[mask])
             np.minimum.at(pi, cv[mask], cu[mask])
@@ -731,7 +751,7 @@ class VectorizedBackend(ExecutionBackend):
         nothing.
         """
         src, dst = self._edges(graph)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._min_sweep(pi, src, dst)
 
     def _min_sweep(
@@ -776,7 +796,7 @@ class VectorizedBackend(ExecutionBackend):
         """
         src, dst = self._edges(graph)
         pool = self.pool
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             changed = self._min_sweep(pi, src, dst)
             if changed and hooking != "plain":
                 # Grandparent candidates, read *after* the plain sweep so
@@ -791,8 +811,8 @@ class VectorizedBackend(ExecutionBackend):
             if changed:
                 self._pointer_jump(pi)
             else:
-                self.instr.count("rounds_skipped")
-            self.instr.count("fused_passes")
+                self.tracer.metrics.counter("rounds_skipped").inc()
+            self.tracer.metrics.counter("fused_passes").inc()
             return changed
 
     def _scatter_min(
@@ -817,7 +837,7 @@ class VectorizedBackend(ExecutionBackend):
         phase: str,
     ) -> np.ndarray:
         """Gather the frontier's neighbour slots and scatter-min onto them."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             empty = np.empty(0, dtype=VERTEX_DTYPE)
             if frontier.shape[0] == 0:
                 return empty
@@ -847,7 +867,7 @@ class VectorizedBackend(ExecutionBackend):
         phase: str,
     ) -> tuple[np.ndarray, int, int]:
         """Segmented first-hit pull over all unvisited vertices."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return _part.bottom_up_block(
                 pi,
                 graph.indptr,
@@ -884,7 +904,7 @@ class SimulatedBackend(ExecutionBackend):
         """Init phase ``I``: every vertex writes its own π slot (or the
         constant ``fill`` sentinel)."""
         pi = np.empty(n, dtype=self._label_dtype(n))
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             if fill is not None:
                 self.machine.parallel_for(
                     n, _fill_kernel, pi, int(fill), phase=phase
@@ -897,7 +917,7 @@ class SimulatedBackend(ExecutionBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> None:
         """Concurrent link of the batch, one kernel per edge."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 int(src.shape[0]), link_kernel, pi, src, dst, phase=phase
             )
@@ -907,7 +927,7 @@ class SimulatedBackend(ExecutionBackend):
         self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
     ) -> None:
         """Concurrent neighbour round, one kernel per vertex."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0],
                 _neighbor_link_kernel,
@@ -930,7 +950,7 @@ class SimulatedBackend(ExecutionBackend):
     ) -> tuple[int, int, None]:
         """Concurrent final phase with the per-vertex skip check."""
         counters = {"skipped": 0, "final": 0}
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0],
                 _final_link_kernel,
@@ -946,7 +966,7 @@ class SimulatedBackend(ExecutionBackend):
 
     def compress(self, pi: np.ndarray, *, phase: str) -> None:
         """Concurrent per-vertex compression to the root."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0], compress_kernel, pi, phase=phase
             )
@@ -954,7 +974,7 @@ class SimulatedBackend(ExecutionBackend):
 
     def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
         """Concurrent single-step shortcut of every vertex."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 pi.shape[0], _shortcut_kernel, pi, phase=phase
             )
@@ -971,7 +991,7 @@ class SimulatedBackend(ExecutionBackend):
         n = pi.shape[0]
         probes = rng.integers(0, n, size=min(sample_size, max(n, 1)))
         out = np.empty(probes.shape[0], dtype=VERTEX_DTYPE)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 probes.shape[0], _probe_kernel, pi, probes, out, phase=phase
             )
@@ -983,7 +1003,7 @@ class SimulatedBackend(ExecutionBackend):
     ) -> bool:
         """Concurrent CAS hook pass over every directed edge."""
         changed = {"flag": False}
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 int(src.shape[0]), _hook_kernel, pi, src, dst, changed,
                 phase=phase,
@@ -1001,7 +1021,7 @@ class SimulatedBackend(ExecutionBackend):
         """
         src, dst = self._edges(graph)
         changed = {"count": 0}
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self.machine.parallel_for(
                 int(src.shape[0]),
                 _min_label_kernel,
@@ -1023,7 +1043,7 @@ class SimulatedBackend(ExecutionBackend):
     ) -> np.ndarray:
         """Concurrent push, one kernel per frontier vertex."""
         changed: set = set()
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             if frontier.shape[0]:
                 self.machine.parallel_for(
                     frontier,
@@ -1053,7 +1073,7 @@ class SimulatedBackend(ExecutionBackend):
         unvisited = np.nonzero(pi == sentinel)[0].astype(VERTEX_DTYPE)
         counters = {"edges": 0}
         found: list = []
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             if unvisited.shape[0]:
                 self.machine.parallel_for(
                     unvisited,
@@ -1175,8 +1195,8 @@ class ProcessParallelBackend(ExecutionBackend):
         ``block`` heartbeat event per completed task while siblings are
         still running — post-barrier merging into the trace is unchanged.
         """
-        tracer = self.instr.tracer
-        heartbeat = self.instr.heartbeat
+        tracer = self.tracer
+        heartbeat = self.heartbeat
         if not tracer.enabled and heartbeat is None:
             return self._starmap(fn, tasks)
         stats = self._ensure_stats(len(tasks))
@@ -1239,7 +1259,7 @@ class ProcessParallelBackend(ExecutionBackend):
     def _merge_worker_stats(
         self, phase: str, rows: np.ndarray, num_tasks: int
     ) -> None:
-        tracer = self.instr.tracer
+        tracer = self.tracer
         fields = _part.STATS_FIELDS
         durations: list[float] = []
         for i in range(num_tasks):
@@ -1262,7 +1282,7 @@ class ProcessParallelBackend(ExecutionBackend):
         if len(durations) >= 2:
             mean = sum(durations) / len(durations)
             if mean > 0:
-                self.instr.metrics.histogram(
+                self.tracer.metrics.histogram(
                     "block_imbalance", RATIO_BUCKETS
                 ).observe(max(durations) / mean)
 
@@ -1360,7 +1380,7 @@ class ProcessParallelBackend(ExecutionBackend):
         pi_spec = self._pi_spec(pi)
         src_spec, dst_spec = self._load_edges(src, dst)
         ranges = partition_ranges(int(src.shape[0]), self.workers)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self._barrier(
                 _part._task_link_edges,
                 [
@@ -1377,7 +1397,7 @@ class ProcessParallelBackend(ExecutionBackend):
         """Parallel neighbour round, one task per CSR edge block."""
         pi_spec = self._pi_spec(pi)
         ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self._barrier(
                 _part._task_link_round,
                 [
@@ -1405,7 +1425,7 @@ class ProcessParallelBackend(ExecutionBackend):
         """
         pi_spec = self._pi_spec(pi)
         ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             shares = self._barrier(
                 _part._task_link_remaining,
                 [
@@ -1419,7 +1439,7 @@ class ProcessParallelBackend(ExecutionBackend):
         settle = 0
         cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
         settle_phase = f"{phase}-settle"
-        with self.instr.timer(settle_phase):
+        with self.tracer.span(settle_phase):
             while True:
                 self._compress_barrier(pi, phase=settle_phase)
                 fixed = self._barrier(
@@ -1437,7 +1457,7 @@ class ProcessParallelBackend(ExecutionBackend):
                     raise ConvergenceError(
                         f"settle loop exceeded {cap} passes — corrupted pi?"
                     )
-        self.instr.count("settle_passes", settle)
+        self.tracer.metrics.counter("settle_passes").inc(settle)
         return final, skipped, None
 
     def _compress_barrier(self, pi: np.ndarray, *, phase: str = "C") -> None:
@@ -1452,7 +1472,7 @@ class ProcessParallelBackend(ExecutionBackend):
 
     def compress(self, pi: np.ndarray, *, phase: str) -> None:
         """Global compress barrier: per-block pointer jumping to roots."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self._compress_barrier(pi, phase=phase)
         return None
 
@@ -1460,7 +1480,7 @@ class ProcessParallelBackend(ExecutionBackend):
         """Parallel single-step shortcut over per-block π ranges."""
         pi_spec = self._pi_spec(pi)
         ranges = partition_ranges(int(pi.shape[0]), self.workers)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             self._barrier(
                 _part._task_shortcut,
                 [(pi_spec, lo, hi) for lo, hi in ranges],
@@ -1476,7 +1496,7 @@ class ProcessParallelBackend(ExecutionBackend):
         phase: str,
     ) -> int:
         """Direct π probes (parent-side: the sample is tiny)."""
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return approximate_largest_label(pi, sample_size, rng=rng)
 
     def hook_pass(
@@ -1491,7 +1511,7 @@ class ProcessParallelBackend(ExecutionBackend):
         pi_spec = self._pi_spec(pi)
         src_spec, dst_spec = self._load_edges(src, dst)
         ranges = partition_ranges(int(src.shape[0]), self.workers)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             changed = self._barrier(
                 _part._task_hook,
                 [
@@ -1527,7 +1547,7 @@ class ProcessParallelBackend(ExecutionBackend):
         loser's block reported a change, so a sweep returning zero
         performed no writes — the pipeline's convergence test is sound.
         """
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._propagate_barrier(pi, graph, phase=phase)
 
     def frontier_expand(
@@ -1557,7 +1577,7 @@ class ProcessParallelBackend(ExecutionBackend):
         np.subtract(deg, lo, out=deg)
         ranges = _part.partition_weighted_ranges(deg, self.workers)
         f_spec = self._frontier_buf.spec
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             parts = self._barrier(
                 _part._task_frontier_expand,
                 [
@@ -1596,7 +1616,7 @@ class ProcessParallelBackend(ExecutionBackend):
             self._count_alloc(self._mask_buf.array.nbytes)
         self._mask_buf.array[:n] = in_frontier
         m_spec = self._mask_buf.spec
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             parts = self._barrier(
                 _part._task_bottom_up,
                 [
@@ -1635,14 +1655,14 @@ class ProcessParallelBackend(ExecutionBackend):
         """
         settle = 0
         cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             while self._propagate_barrier(pi, graph, phase=phase):
                 settle += 1
                 if settle > cap:
                     raise ConvergenceError(
                         f"settle loop exceeded {cap} passes — corrupted pi?"
                     )
-        self.instr.count("settle_passes", settle)
+        self.tracer.metrics.counter("settle_passes").inc(settle)
         return settle
 
     # -- lifecycle ------------------------------------------------------- #
@@ -1840,29 +1860,30 @@ class DistributedBackend(VectorizedBackend):
     def _flush_comm(self) -> None:
         """Move new CommStats traffic into the run's counters."""
         stats = self.comm.stats
+        metrics = self.tracer.metrics
         if stats.bytes_sent != self._seen_bytes:
-            self.instr.count(
-                "comm_bytes_sent", stats.bytes_sent - self._seen_bytes
+            metrics.counter("comm_bytes_sent").inc(
+                stats.bytes_sent - self._seen_bytes
             )
             self._seen_bytes = stats.bytes_sent
         if stats.messages != self._seen_msgs:
-            self.instr.count("comm_messages", stats.messages - self._seen_msgs)
+            metrics.counter("comm_messages").inc(
+                stats.messages - self._seen_msgs
+            )
             self._seen_msgs = stats.messages
         new_steps = stats.supersteps - self._seen_steps
         if new_steps:
-            self.instr.count("comm_supersteps", new_steps)
-            if self.instr.metrics.enabled:
-                hist = self.instr.metrics.histogram(
-                    "comm_step_bytes", POW2_BUCKETS
-                )
+            metrics.counter("comm_supersteps").inc(new_steps)
+            if metrics.enabled:
+                hist = metrics.histogram("comm_step_bytes", POW2_BUCKETS)
                 for nbytes in stats.step_bytes[self._seen_steps :]:
                     hist.observe(nbytes)
             self._seen_steps = stats.supersteps
         for pair, nbytes in stats.by_pair.items():
             seen = self._seen_pair.get(pair, 0)
             if nbytes != seen:
-                self.instr.count(
-                    f"comm_pair_{pair[0]}_{pair[1]}", nbytes - seen
+                metrics.counter(f"comm_pair_{pair[0]}_{pair[1]}").inc(
+                    nbytes - seen
                 )
                 self._seen_pair[pair] = nbytes
 
@@ -2053,7 +2074,7 @@ class DistributedBackend(VectorizedBackend):
             np.minimum.at(pi, all_idx, all_val)
             changed = touched[pi[touched] < before]
         if self.ranks > 1:
-            with self.instr.timer("X"):
+            with self.tracer.span("X"):
                 self._ship_deltas(
                     pi, live, changed, already_applied=already_applied
                 )
@@ -2112,7 +2133,7 @@ class DistributedBackend(VectorizedBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> int:
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._dist_link_batch(pi, self._batch_shards(src, dst))
 
     def link_neighbor_round(
@@ -2120,7 +2141,7 @@ class DistributedBackend(VectorizedBackend):
     ) -> int:
         src, dst = round_edges(graph, r)
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._dist_link_batch(pi, self._batch_shards(src, dst))
 
     def link_remaining(
@@ -2141,9 +2162,9 @@ class DistributedBackend(VectorizedBackend):
         else:
             verts = np.arange(pi.shape[0], dtype=VERTEX_DTYPE)
             skipped = 0
-        with self.instr.timer(f"{phase}-gather"):
+        with self.tracer.span(f"{phase}-gather"):
             src, dst = remaining_edges(graph, verts, start)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             rounds = self._dist_link_batch(
                 pi, self._batch_shards(src, dst)
             )
@@ -2195,7 +2216,7 @@ class DistributedBackend(VectorizedBackend):
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
     ) -> bool:
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             deltas = []
             hooked = False
             for src_r, dst_r in self._batch_shards(src, dst):
@@ -2204,8 +2225,8 @@ class DistributedBackend(VectorizedBackend):
                 mask = (cu < cv) & (pi[cv] == cv)
                 if mask.any():
                     hooked = True
-                    if self.instr.metrics.enabled:
-                        self.instr.metrics.histogram(
+                    if self.tracer.metrics.enabled:
+                        self.tracer.metrics.histogram(
                             "hook_distance", POW2_BUCKETS
                         ).observe_many(cv[mask] - cu[mask])
                 deltas.append((cv[mask], cu[mask]))
@@ -2236,7 +2257,7 @@ class DistributedBackend(VectorizedBackend):
     ) -> int:
         self._sync_driver(pi)
         shards = self._graph_shards(graph)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             return self._sweep_exchange(pi, shards)
 
     def fused_hook_jump(
@@ -2249,7 +2270,7 @@ class DistributedBackend(VectorizedBackend):
     ) -> int:
         self._sync_driver(pi)
         shards = self._graph_shards(graph)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             changed = self._sweep_exchange(pi, shards)
             if changed and hooking != "plain":
                 # Grandparent hooks read the *merged* post-sweep replica,
@@ -2270,8 +2291,8 @@ class DistributedBackend(VectorizedBackend):
                 assert self._shadow is not None
                 np.copyto(self._shadow, pi)
             else:
-                self.instr.count("rounds_skipped")
-            self.instr.count("fused_passes")
+                self.tracer.metrics.counter("rounds_skipped").inc()
+            self.tracer.metrics.counter("fused_passes").inc()
             return changed
 
     # -- frontier primitives ---------------------------------------------- #
@@ -2287,7 +2308,7 @@ class DistributedBackend(VectorizedBackend):
         # Frontier membership is derived from replicated label state, so
         # the frontier itself never crosses the wire — only label deltas.
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             empty = np.empty(0, dtype=VERTEX_DTYPE)
             if frontier.shape[0] == 0:
                 return empty
@@ -2327,7 +2348,7 @@ class DistributedBackend(VectorizedBackend):
         phase: str,
     ) -> tuple[np.ndarray, int, int]:
         self._sync_driver(pi)
-        with self.instr.timer(phase):
+        with self.tracer.span(phase):
             bounds = self._vertex_bounds(int(pi.shape[0]))
             founds = []
             deltas = []

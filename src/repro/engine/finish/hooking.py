@@ -78,13 +78,13 @@ def _hook_loop(
                 # compress would be the identity.  (The first iteration
                 # must still compress: sampling phases can hand the loop
                 # deep trees that no hook ever touches.)
-                backend.instr.count("rounds_skipped")
+                backend.tracer.metrics.counter("rounds_skipped").inc()
         else:
             # The original formulation's single shortcut step per
             # iteration: pi <- pi[pi] once.  Trees shrink gradually and
             # convergence takes more iterations than GAP's full compress.
             backend.shortcut_step(pi, phase=shortcut_phase)
-        backend.instr.beat(
+        backend.beat(
             phase_label("H", round=iterations), changed=int(changed)
         )
         if not changed:
@@ -167,7 +167,7 @@ def fastsv_finish(ctx: PlanContext, *, hooking: str = "plain") -> None:
             phase=phase_label("HS", round=iterations),
         )
         result.edges_processed += m
-        backend.instr.beat(
+        backend.beat(
             phase_label("HS", round=iterations), changed=int(changed)
         )
         if not changed:
@@ -186,7 +186,7 @@ def sv_pipeline_edges(
 ) -> CCResult:
     """Shiloach–Vishkin over a flat directed edge list, any backend.
 
-    The standalone edge-list entry point (used by the baselines layer and
+    The standalone edge-list entry point (used by the layout ablation and
     edge-stream callers); graph-based runs go through the ``sv`` plan.
     ``track_depth`` records the maximum tree depth before each shortcut —
     the Table II statistic — at the cost of an O(n) scan per iteration.

@@ -45,7 +45,7 @@ def lp_finish(ctx: PlanContext) -> None:
         phase = phase_label("P", round=iterations)
         changed = backend.propagate_pass(pi, graph, phase=phase)
         result.edges_processed += m
-        backend.instr.beat(phase, changed=int(changed))
+        backend.beat(phase, changed=int(changed))
         if not changed:
             break
     result.iterations = iterations
@@ -84,7 +84,7 @@ def lp_datadriven_finish(ctx: PlanContext) -> None:
         backend.record_frontier(int(frontier.shape[0]), phase=phase)
         result.edges_processed += total
         frontier = backend.frontier_expand(pi, graph, frontier, phase=phase)
-        backend.instr.beat(phase, frontier=int(frontier.shape[0]))
+        backend.beat(phase, frontier=int(frontier.shape[0]))
     backend.propagate_settle(pi, graph, phase=phase_label("P", final=True))
     result.iterations = iterations
 

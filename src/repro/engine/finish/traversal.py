@@ -79,7 +79,7 @@ def bfs_pipeline(graph: CSRGraph, backend: ExecutionBackend) -> CCResult:
             frontier = backend.frontier_expand(
                 pi, graph, frontier, phase=phase
             )
-            backend.instr.beat(phase, frontier=int(frontier.shape[0]))
+            backend.beat(phase, frontier=int(frontier.shape[0]))
         cursor += 1
     # step_edges: edges examined per frontier expansion, in execution
     # order — the per-parallel-phase work profile used by the scaling
@@ -162,7 +162,7 @@ def dobfs_pipeline(
                     edges_modeled += modeled
                     edges_gathered += gathered
                     step_edges.append(modeled)
-                    backend.instr.beat(
+                    backend.beat(
                         phase, frontier=int(frontier.shape[0])
                     )
                     prev_awake, awake = awake, frontier.shape[0]
@@ -191,7 +191,7 @@ def dobfs_pipeline(
                     frontier = backend.frontier_expand(
                         pi, graph, frontier, phase=phase
                     )
-                    backend.instr.beat(
+                    backend.beat(
                         phase, frontier=int(frontier.shape[0])
                     )
         cursor += 1

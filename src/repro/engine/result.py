@@ -6,12 +6,8 @@ instrumentation the individual algorithms collect — edge counters,
 per-phase wall times, iteration statistics, and provenance (which
 algorithm ran, with which parameters, on which backend).
 
-Historically each algorithm had its own result dataclass
-(``AfforestResult``, ``SVResult``, ``LPResult``, ``BFSCCResult``,
-``DOBFSResult``); those names survive as thin aliases of
-:class:`CCResult`, so existing code keeps working while new code can
-treat every run uniformly.  Fields an algorithm does not populate keep
-their zero defaults.
+Every run is treated uniformly: fields an algorithm does not populate
+keep their zero defaults.
 """
 
 from __future__ import annotations

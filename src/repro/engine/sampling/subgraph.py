@@ -72,7 +72,7 @@ def subgraph_sampling(
         rounds = backend.link_edges(pi, batch.src, batch.dst, phase=phase)
         if rounds is not None:
             result.link_rounds.append(rounds)
-        backend.instr.beat(phase)
+        backend.beat(phase)
     passes = backend.compress(pi, phase=phase_label("SC"))
     if passes is not None:
         result.compress_passes.append(passes)

@@ -46,7 +46,7 @@ def _expand_rounds(
         phase = phase_label(base, round=i, frontier=int(frontier.shape[0]))
         backend.record_frontier(int(frontier.shape[0]), phase=phase)
         frontier = backend.frontier_expand(pi, graph, frontier, phase=phase)
-        backend.instr.beat(phase, frontier=int(frontier.shape[0]))
+        backend.beat(phase, frontier=int(frontier.shape[0]))
     passes = backend.compress(pi, phase=phase_label("SC"))
     if passes is not None:
         ctx.result.compress_passes.append(passes)

@@ -89,9 +89,9 @@ def largest_component_subgraph(
     Computes the labeling with Afforest when not supplied.
     """
     if labels is None:
-        from repro.core.afforest import afforest
+        from repro.engine import run
 
-        labels = afforest(graph).labels
+        labels = run("afforest", graph).labels
     labels = np.asarray(labels)
     counts = np.bincount(labels, minlength=graph.num_vertices)
     return component_subgraph(graph, labels, int(np.argmax(counts)))
@@ -105,9 +105,9 @@ def split_components(
     ``min_size`` filters out small components (e.g. singletons).
     """
     if labels is None:
-        from repro.core.afforest import afforest
+        from repro.engine import run
 
-        labels = afforest(graph).labels
+        labels = run("afforest", graph).labels
     labels = np.asarray(labels)
     uniq, counts = sorted_unique(labels, return_counts=True)
     order = np.argsort(counts)[::-1]

@@ -2,8 +2,8 @@
 
 A :class:`Tracer` records a tree of :class:`Span` objects — nested,
 attributed, timestamped intervals — for one engine run.  Backends open a
-span per pipeline phase (through the
-:class:`~repro.engine.instrumentation.Instrumentation` shim), the process
+span per pipeline phase (``engine.run`` binds the tracer with
+:meth:`~repro.engine.backends.ExecutionBackend.bind`), the process
 backend attaches *worker* spans measured inside OS worker processes, and
 :meth:`Tracer.finish` freezes everything into an immutable :class:`Trace`
 that exporters (:mod:`repro.obs.export`) and the ASCII renderer

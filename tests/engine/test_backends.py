@@ -5,7 +5,6 @@ import pytest
 
 from repro import engine
 from repro.analysis import equivalent_labelings
-from repro.core import afforest
 from repro.engine import SimulatedBackend, VectorizedBackend
 from repro.errors import ConfigurationError
 from repro.parallel.machine import SimulatedMachine
@@ -70,7 +69,7 @@ class TestBackendValidation:
     def test_error_names_supported_backends(self, mixed_graph):
         backend = SimulatedBackend(SimulatedMachine(2))
         with pytest.raises(ConfigurationError, match="vectorized"):
-            engine.run("distributed", mixed_graph, backend=backend)
+            engine.run("sequential", mixed_graph, backend=backend)
 
 
 class TestProvenance:
@@ -133,7 +132,7 @@ class TestProfiling:
     def test_backend_left_disabled_after_profiled_run(self, mixed_graph):
         backend = VectorizedBackend()
         engine.run("afforest", mixed_graph, backend=backend, profile=True)
-        assert not backend.instr.enabled
+        assert not backend.tracer.enabled
         second = engine.run("afforest", mixed_graph, backend=backend)
         assert second.phase_seconds == {}
 
@@ -184,7 +183,7 @@ class TestSimulatedPhaseStructure:
         assert a.edges_sampled == b.edges_sampled
 
     def test_vectorized_entry_point_still_returns_counters(self, mixed_graph):
-        result = afforest(mixed_graph, profile=True)
+        result = engine.run("afforest", mixed_graph, profile=True)
         assert result.edges_touched + result.edges_skipped == \
             mixed_graph.num_directed_edges
         assert result.phase_seconds

@@ -13,7 +13,6 @@ EXPECTED_BUILTINS = [
     "afforest-noskip",
     "auto",
     "bfs",
-    "distributed",
     "dobfs",
     "fastsv",
     "lp",
@@ -66,10 +65,9 @@ class TestMetadata:
             )
 
     def test_reference_algorithms_are_vectorized_only(self):
-        for name in ("sequential", "distributed"):
-            spec = engine.get_algorithm(name)
-            assert spec.backends == ("vectorized",)
-            assert not spec.supports_backend("simulated")
+        spec = engine.get_algorithm("sequential")
+        assert spec.backends == ("vectorized",)
+        assert not spec.supports_backend("simulated")
 
     def test_pipelines_marked_instrumented(self):
         assert engine.get_algorithm("afforest").instrumented

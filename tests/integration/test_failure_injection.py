@@ -92,11 +92,11 @@ class TestConfigurationRejection:
 
     def test_afforest_knobs(self, mixed_graph):
         with pytest.raises(ConfigurationError):
-            repro.afforest(mixed_graph, neighbor_rounds=-2)
+            repro.engine.run("afforest", mixed_graph, neighbor_rounds=-2)
         with pytest.raises(ConfigurationError):
-            repro.afforest(mixed_graph, sample_size=0)
+            repro.engine.run("afforest", mixed_graph, sample_size=0)
         with pytest.raises(ConfigurationError):
-            repro.afforest(mixed_graph, sampling="psychic")
+            repro.engine.run("afforest", mixed_graph, sampling="psychic")
 
     def test_machine_knobs(self):
         from repro.parallel import SimulatedMachine

@@ -83,6 +83,6 @@ def test_deterministic_end_to_end():
     """The same seed yields bit-identical labels through the whole stack."""
     def run():
         g = load_dataset("twitter", "tiny", seed=3)
-        return repro.afforest(g, seed=7).labels
+        return repro.engine.run("afforest", g, seed=7).labels
 
     assert np.array_equal(run(), run())

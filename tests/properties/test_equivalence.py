@@ -51,8 +51,13 @@ def test_afforest_parameter_space(g, rounds, skip, seed):
     if g.num_vertices == 0:
         return
     ref = repro.sequential_components(g)
-    r = repro.afforest(
-        g, neighbor_rounds=rounds, skip_largest=skip, seed=seed, sample_size=16
+    r = repro.engine.run(
+        "afforest",
+        g,
+        neighbor_rounds=rounds,
+        skip_largest=skip,
+        seed=seed,
+        sample_size=16,
     )
     assert equivalent_labelings(r.labels, ref)
 

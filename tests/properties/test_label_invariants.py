@@ -5,7 +5,7 @@ one (Invariant 1), every correct tree-hooking execution converges to the
 same concrete labeling: each vertex labelled with the **minimum vertex id
 of its component**.  This pins down far more than partition equivalence —
 SV, Afforest (all configurations), batch link, the simulated drivers and
-the distributed reduction must agree bit-for-bit.
+FastSV on the distributed backend must agree bit-for-bit.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ def min_vertex_labels(g):
     return out
 
 
-TREE_HOOKING = ["afforest", "afforest-noskip", "sv", "distributed"]
+TREE_HOOKING = ["afforest", "afforest-noskip", "sv"]
 
 
 @given(graphs())
@@ -55,14 +55,16 @@ def test_tree_hooking_labels_are_component_minima(g):
     for algorithm in TREE_HOOKING:
         labels = repro.connected_components(g, algorithm)
         assert np.array_equal(labels, expected), algorithm
+    distributed = repro.engine.run("fastsv", g, backend="distributed", ranks=2)
+    assert np.array_equal(distributed.labels, expected), "distributed fastsv"
 
 
 @given(graphs(), st.integers(0, 4), st.integers(0, 99))
 @settings(max_examples=50, deadline=None)
 def test_afforest_configurations_bit_identical(g, rounds, seed):
     expected = min_vertex_labels(g)
-    r = repro.afforest(
-        g, neighbor_rounds=rounds, seed=seed, sample_size=8
+    r = repro.engine.run(
+        "afforest", g, neighbor_rounds=rounds, seed=seed, sample_size=8
     )
     assert np.array_equal(r.labels, expected)
 

@@ -15,7 +15,6 @@ ALGORITHMS = [
     "lp-datadriven",
     "bfs",
     "dobfs",
-    "distributed",
     "sequential",
 ]
 
@@ -59,6 +58,6 @@ def test_all_exports_resolve():
 def test_quickstart_docstring_flow():
     g = repro.generators.kronecker_graph(scale=8)
     labels = repro.connected_components(g)
-    result = repro.afforest(g, neighbor_rounds=2)
+    result = repro.engine.run("afforest", g, neighbor_rounds=2)
     assert labels.shape[0] == g.num_vertices
     assert result.num_components >= 1

@@ -7,7 +7,9 @@ documented, and the package exposes no accidental top-level junk.
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -111,3 +113,51 @@ def test_engine_does_not_import_graph_properties():
         in _imported_modules(ast.parse(path.read_text()))
     ]
     assert not offenders, f"engine modules import graph properties: {offenders}"
+
+
+#: dotted ``repro.x[.y...]`` names; the lookbehind skips attribute chains
+#: such as ``foo.repro.x`` and path fragments such as ``src/repro``.
+_REPRO_NAME = re.compile(r"(?<![\w./])repro(?:\.[A-Za-z_]\w*)+")
+
+#: prose and code that refer to library names by their dotted path.
+_NAME_SOURCES = (
+    "README.md",
+    "DESIGN.md",
+    "docs/*.md",
+    ".claude/skills/verify/SKILL.md",
+    "examples/*.py",
+    "src/repro/**/*.py",
+)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reached from the
+    longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_docs_reference_live_names():
+    """Every dotted ``repro.…`` name in the docs, the examples and the
+    package source still imports: deleting a module or a public name
+    must take its mentions with it."""
+    root = pathlib.Path(repro.__file__).parents[2]
+    stale = sorted(
+        f"{path.relative_to(root)}:{lineno}: {name}"
+        for pattern in _NAME_SOURCES
+        for path in root.glob(pattern)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for name in _REPRO_NAME.findall(line)
+        if not _resolves(name)
+    )
+    assert not stale, "stale repro names:\n" + "\n".join(stale)

@@ -183,7 +183,7 @@ class TestCompare:
         assert main(
             [
                 "compare", graph_file,
-                "--algorithms", "sequential,distributed",
+                "--algorithms", "sequential",
                 "--backend", "process",
             ]
         ) == 1
