@@ -60,11 +60,12 @@ SMOKE_GRAPHS: tuple[tuple[str, Callable[[], CSRGraph]], ...] = (
 )
 
 #: Hooking algorithms (including the fused FastSV hot path the perf gate
-#: tracks) plus one frontier pipeline of each flavour (label push, BFS
-#: level sweep) so the process backend's frontier task bodies are
-#: exercised end-to-end by CI, plus the plan layer: one composed plan
-#: with no legacy alias and ``auto`` (each record's ``plan`` field names
-#: the composition that ran).
+#: tracks; on the process backend their hook, shortcut and compress
+#: sweeps run on the workers, Afforest's links in the parent) plus one
+#: frontier pipeline of each flavour (label push, BFS level sweep) so the
+#: process backend's frontier task bodies are exercised end-to-end by CI,
+#: plus the plan layer: one composed plan with no legacy alias and
+#: ``auto`` (each record's ``plan`` field names the composition that ran).
 SMOKE_ALGORITHMS = (
     "afforest", "sv", "fastsv", "lp-datadriven", "bfs", "kout+sv", "auto",
 )

@@ -12,10 +12,12 @@ hook-and-shortcut — that admit four execution substrates:
   :class:`~repro.parallel.machine.SimulatedMachine`, with a preemption
   point before every shared access; the instrumented concurrent-semantics
   implementation that produces work/span statistics and memory traces;
-- :class:`ProcessParallelBackend` — real OS processes over a parent array
-  in ``multiprocessing.shared_memory``, edges partitioned into contiguous
-  CSR edge blocks (:mod:`repro.engine.partition`); the multi-core
-  wall-clock implementation;
+- :class:`ProcessParallelBackend` — the vectorized substrate over a
+  parent array in ``multiprocessing.shared_memory``, with the sweep
+  primitives (hooking, propagation, compression, the BFS frontier steps)
+  fanned out to a worker pool over contiguous CSR edge blocks
+  (:mod:`repro.engine.partition`); Afforest's link phases stay on the
+  in-process batch kernels, which measured faster than a per-block split;
 - :class:`DistributedBackend` — simulated ranks that each own an edge
   shard and replicate π, exchanging changed-label deltas in BSP
   supersteps over :class:`~repro.distributed.comm.SimulatedComm`.
@@ -23,9 +25,11 @@ hook-and-shortcut — that admit four execution substrates:
 Each sampling and finish phase (:mod:`repro.engine.sampling`,
 :mod:`repro.engine.finish`) is written *once* against
 :class:`ExecutionBackend`; choosing the substrate is a constructor
-argument, not a separate code path.  Backend methods wrap their work in
-spans of the bound :class:`~repro.obs.trace.Tracer`, so profiled runs
-get a per-phase wall-time breakdown on any substrate.
+argument, not a separate code path.  The process and distributed
+backends subclass :class:`VectorizedBackend` and override only the
+primitives their substrate runs differently.  Backend methods wrap their
+work in spans of the bound :class:`~repro.obs.trace.Tracer`, so profiled
+runs get a per-phase wall-time breakdown on any substrate.
 """
 
 from __future__ import annotations
@@ -1095,20 +1099,30 @@ class SimulatedBackend(ExecutionBackend):
         return self.machine.stats
 
 
-class ProcessParallelBackend(ExecutionBackend):
+class ProcessParallelBackend(VectorizedBackend):
     """Real multi-core substrate: OS processes over shared-memory π.
 
     The parent array lives in a ``multiprocessing.shared_memory`` segment;
     the CSR arrays (and flat edge batches) are mirrored into further
-    segments once per graph; and a persistent worker pool executes each
-    pipeline phase as one task per contiguous CSR edge block
-    (:func:`~repro.engine.partition.partition_csr_blocks`).  Hooks are
-    lock-free scatter-min writes — monotone toward smaller labels, so a
-    racing write can lose a merge but never corrupt the forest — and every
-    phase ends at a global barrier (the pool ``starmap`` return).  After
-    the final link phase a *settle loop* alternates parallel compression
-    with a full-edge mismatch sweep until no edge's endpoints sit in
-    different trees, repairing any lost updates (usually zero passes).
+    segments once per graph; and a persistent worker pool executes the
+    sweep primitives — SV hooking, min-label propagation and its settle
+    sweeps, compress, shortcut, and the BFS frontier steps — as one task
+    per contiguous CSR edge block
+    (:func:`~repro.engine.partition.partition_csr_blocks`) or per π range.
+    Hooks are lock-free scatter-min writes — monotone toward smaller
+    labels, so a racing write can lose a merge but never corrupt the
+    forest — and every phase ends at a global barrier (the pool
+    ``starmap`` return).  A lost write implies its block reported a
+    change, so the "full pass with no change" convergence tests stay
+    sound.
+
+    Afforest's link phases and the giant-component probe are inherited
+    from :class:`VectorizedBackend`: they run the batch link kernels in
+    the parent process, directly on the shared π.  Workers have no atomic
+    write-min, so a per-block link can drop a hook and would need a
+    repair sweep over every edge — the edges the giant-component skip
+    exists to avoid; the parent-side kernels measure faster (see
+    ``docs/algorithms.md``).
 
     When a run is traced, every barrier also collects *per-task worker
     telemetry*: each block task records its start/end timestamps, pid,
@@ -1126,18 +1140,20 @@ class ProcessParallelBackend(ExecutionBackend):
 
     kind = "process"
 
+    # The inherited single-kernel round would run in the parent process;
+    # the composed one dispatches both halves to the workers.
+    fused_hook_jump = ExecutionBackend.fused_hook_jump
+
     def __init__(
         self,
         workers: int | None = None,
         *,
-        start_method: str | None = None,
         label_dtype: str = "auto",
     ) -> None:
         super().__init__(label_dtype=label_dtype)
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers or max(1, min(os.cpu_count() or 1, 8))
-        self._start_method = start_method or preferred_start_method()
         self._pool = None
         self._pi: SharedVector | None = None
         # Cached per-graph shared mirrors; the strong graph reference keeps
@@ -1145,7 +1161,7 @@ class ProcessParallelBackend(ExecutionBackend):
         self._graph: CSRGraph | None = None
         self._graph_segs: tuple[SharedVector, SharedVector] | None = None
         self._blocks: list[_part.EdgeBlock] = []
-        # Reusable flat edge buffers (SV batches, random-sampling rounds).
+        # Reusable flat edge buffers (SV hook batches).
         self._src_buf: SharedVector | None = None
         self._dst_buf: SharedVector | None = None
         # Reusable frontier buffer + uint8 frontier mask (BFS pipelines).
@@ -1162,7 +1178,7 @@ class ProcessParallelBackend(ExecutionBackend):
 
     def _ensure_pool(self):
         if self._pool is None:
-            ctx = multiprocessing.get_context(self._start_method)
+            ctx = multiprocessing.get_context(preferred_start_method())
             self._pool = ctx.Pool(processes=self.workers)
         return self._pool
 
@@ -1373,107 +1389,20 @@ class ProcessParallelBackend(ExecutionBackend):
             )
         return self._pi.spec
 
-    def link_edges(
-        self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str
-    ) -> None:
-        """Parallel link of a flat edge batch, one task per range."""
-        pi_spec = self._pi_spec(pi)
-        src_spec, dst_spec = self._load_edges(src, dst)
-        ranges = partition_ranges(int(src.shape[0]), self.workers)
-        with self.tracer.span(phase):
-            self._barrier(
-                _part._task_link_edges,
-                [
-                    (pi_spec, src_spec, dst_spec, lo, hi)
-                    for lo, hi in ranges
-                ],
-                phase,
-            )
-        return None
+    def compress(self, pi: np.ndarray, *, phase: str) -> None:  # type: ignore[override]
+        """Global compress barrier: per-block pointer jumping to roots.
 
-    def link_neighbor_round(
-        self, pi: np.ndarray, graph: CSRGraph, r: int, *, phase: str
-    ) -> None:
-        """Parallel neighbour round, one task per CSR edge block."""
-        pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, blocks = self._graph_specs(graph)
-        with self.tracer.span(phase):
-            self._barrier(
-                _part._task_link_round,
-                [
-                    (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi, r)
-                    for b in blocks
-                ],
-                phase,
-            )
-        return None
-
-    def link_remaining(
-        self,
-        pi: np.ndarray,
-        graph: CSRGraph,
-        start: int,
-        largest: int | None,
-        *,
-        phase: str,
-    ) -> tuple[int, int, None]:
-        """Parallel final phase with per-block component skipping.
-
-        After the block links, a settle loop (compress barrier + full-edge
-        mismatch sweep) repairs any merges lost to scatter-min races; the
-        loop almost always exits after the first clean sweep.
+        Returns ``None``: blocks jump concurrently, so there is no global
+        pass count to report.
         """
         pi_spec = self._pi_spec(pi)
-        ip_spec, ix_spec, blocks = self._graph_specs(graph)
+        ranges = partition_ranges(int(pi.shape[0]), self.workers)
         with self.tracer.span(phase):
-            shares = self._barrier(
-                _part._task_link_remaining,
-                [
-                    (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi, start, largest)
-                    for b in blocks
-                ],
+            self._barrier(
+                _part._task_compress,
+                [(pi_spec, lo, hi) for lo, hi in ranges],
                 phase,
             )
-        final = sum(s[0] for s in shares)
-        skipped = sum(s[1] for s in shares)
-        settle = 0
-        cap = ITERATION_CAP_FACTOR * pi.shape[0] + ITERATION_CAP_SLACK
-        settle_phase = f"{phase}-settle"
-        with self.tracer.span(settle_phase):
-            while True:
-                self._compress_barrier(pi, phase=settle_phase)
-                fixed = self._barrier(
-                    _part._task_check_fix,
-                    [
-                        (pi_spec, ip_spec, ix_spec, b.v_lo, b.v_hi)
-                        for b in blocks
-                    ],
-                    settle_phase,
-                )
-                if not any(fixed):
-                    break
-                settle += 1
-                if settle > cap:
-                    raise ConvergenceError(
-                        f"settle loop exceeded {cap} passes — corrupted pi?"
-                    )
-        self.tracer.metrics.counter("settle_passes").inc(settle)
-        return final, skipped, None
-
-    def _compress_barrier(self, pi: np.ndarray, *, phase: str = "C") -> None:
-        """One parallel compress pass over π (no timer: callers wrap it)."""
-        pi_spec = self._pi_spec(pi)
-        ranges = partition_ranges(int(pi.shape[0]), self.workers)
-        self._barrier(
-            _part._task_compress,
-            [(pi_spec, lo, hi) for lo, hi in ranges],
-            phase,
-        )
-
-    def compress(self, pi: np.ndarray, *, phase: str) -> None:
-        """Global compress barrier: per-block pointer jumping to roots."""
-        with self.tracer.span(phase):
-            self._compress_barrier(pi, phase=phase)
         return None
 
     def shortcut_step(self, pi: np.ndarray, *, phase: str) -> None:
@@ -1486,18 +1415,6 @@ class ProcessParallelBackend(ExecutionBackend):
                 [(pi_spec, lo, hi) for lo, hi in ranges],
                 phase,
             )
-
-    def find_largest(
-        self,
-        pi: np.ndarray,
-        sample_size: int,
-        rng: np.random.Generator,
-        *,
-        phase: str,
-    ) -> int:
-        """Direct π probes (parent-side: the sample is tiny)."""
-        with self.tracer.span(phase):
-            return approximate_largest_label(pi, sample_size, rng=rng)
 
     def hook_pass(
         self, pi: np.ndarray, src: np.ndarray, dst: np.ndarray, *, phase: str

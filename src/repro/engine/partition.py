@@ -1,9 +1,9 @@
 """Edge-block partitioning and shared-memory plumbing for the process backend.
 
-The paper's central observation — link/compress apply to *arbitrary* edge
-subsets independently (Theorem 1) — is exactly what makes Afforest
-partitionable across real OS processes.  This module provides the two
-ingredients :class:`~repro.engine.backends.ProcessParallelBackend` builds
+Shiloach–Vishkin hooking, min-label propagation, compression and the BFS
+frontier steps are sweeps over every edge or every vertex, and each sweep
+splits into independent slices.  This module provides the two ingredients
+:class:`~repro.engine.backends.ProcessParallelBackend` runs those sweeps
 on:
 
 - **contiguous CSR edge blocks** (:func:`partition_csr_blocks`): the
@@ -11,26 +11,29 @@ on:
   span ``indices[e_lo:e_hi]``, cut so every block carries roughly the same
   number of edge slots regardless of degree skew;
 - **shared-memory vectors** (:class:`SharedVector`) holding π, the CSR
-  arrays, and flat edge batches in ``multiprocessing.shared_memory``
-  segments, so a persistent worker pool operates on the *same* physical
-  parent array with zero per-task copying.
+  arrays, flat edge batches and BFS frontiers in
+  ``multiprocessing.shared_memory`` segments, so a persistent worker pool
+  operates on the *same* physical parent array with zero per-task copying.
 
 The ``_task_*`` functions at the bottom are the worker-side phase bodies:
 each receives segment *specs* (name/length/dtype tuples), attaches the
-segments once per process (cached in :data:`_ATTACHED`), and runs the
-existing vectorized kernels (:func:`~repro.core.link.link_batch`,
-pointer-jumping compression) restricted to its block.  When the backend
-is tracing, each task additionally receives a ``(stats spec, slot)``
-handle into a shared float64 *stats segment* and records its start/end
-``perf_counter`` timestamps, pid, and work counters into its row
-(:data:`STATS_FIELDS` per task); the parent merges the rows into the
-run's trace as per-worker spans after every barrier.  Cross-process hooks are plain
-scatter-min writes — lock-free, monotone toward smaller labels — so a
-racing write can *lose an update* but never corrupt the forest: every
-value written into ``pi[h]`` is a label drawn from ``h``'s own component
-and smaller than ``h``, preserving Invariant 1 (``pi[x] <= x``) under any
-interleaving.  Lost merges are repaired by the backend's settle loop
-(:func:`_task_check_fix`) between global compress barriers.
+segments once per process (cached in :data:`_ATTACHED`), and runs one
+NumPy sweep restricted to its block.  When the backend is tracing, each
+task additionally receives a ``(stats spec, slot)`` handle into a shared
+float64 *stats segment* and records its start/end ``perf_counter``
+timestamps, pid, and work counters into its row (:data:`STATS_FIELDS` per
+task); the parent merges the rows into the run's trace as per-worker
+spans after every barrier.  Cross-process hooks are plain scatter-min
+writes — lock-free, monotone toward smaller labels — so a racing write
+can *lose an update* but never corrupt the forest: every value written
+into ``pi[h]`` is a label drawn from ``h``'s own component and smaller
+than ``h``, preserving Invariant 1 (``pi[x] <= x``) under any
+interleaving.  A lost write implies its block reported a change, so the
+callers' "full pass with no change" convergence tests stay sound.
+
+Afforest's link phases have no task bodies here: a dropped hook there
+is only caught by a repair sweep over every edge, so the backend links
+with the in-process batch kernels instead.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.constants import VERTEX_DTYPE
-from repro.core.link import link_batch
 from repro.errors import ConfigurationError
 from repro.nputil import segment_ranges, sorted_unique
 
@@ -82,8 +84,8 @@ def _record_stats(
     """Write a task's telemetry row (no-op when tracing is off).
 
     ``t0`` is the task-entry ``perf_counter`` stamp; ``items`` counts the
-    task's work units (edge slots linked, π slots compressed); ``aux``
-    carries a phase-specific extra (e.g. skipped slots).  The end stamp
+    task's work units (edge slots swept, π slots compressed); ``aux``
+    carries a phase-specific extra (e.g. labels lowered).  The end stamp
     is taken here, so call this last.
     """
     if stats is None:
@@ -299,99 +301,6 @@ def _evict_attached(name: str) -> None:
 # --------------------------------------------------------------------- #
 # worker task bodies (one call = one block of one phase)
 # --------------------------------------------------------------------- #
-
-
-def _task_link_round(
-    pi_spec: SegSpec,
-    indptr_spec: SegSpec,
-    indices_spec: SegSpec,
-    v_lo: int,
-    v_hi: int,
-    r: int,
-    stats=None,
-) -> None:
-    """Neighbour round ``r`` over one block: link ``(v, N(v)[r])`` for
-    every block vertex with degree > r."""
-    t0 = time.perf_counter()
-    if v_hi <= v_lo:
-        _record_stats(stats, t0)
-        return
-    pi = _attach_view(pi_spec)
-    indptr = _attach_view(indptr_spec)
-    indices = _attach_view(indices_spec)
-    ip = indptr[v_lo : v_hi + 1]
-    deg = np.diff(ip)
-    sel = np.nonzero(deg > r)[0]
-    if sel.size == 0:
-        _record_stats(stats, t0)
-        return
-    verts = (v_lo + sel).astype(VERTEX_DTYPE)
-    nbrs = indices[ip[sel] + r]
-    link_batch(pi, verts, nbrs)
-    _record_stats(stats, t0, items=int(sel.size))
-
-
-def _task_link_edges(
-    pi_spec: SegSpec,
-    src_spec: SegSpec,
-    dst_spec: SegSpec,
-    lo: int,
-    hi: int,
-    stats=None,
-) -> None:
-    """Link one contiguous range of a flat shared edge batch."""
-    t0 = time.perf_counter()
-    if hi <= lo:
-        _record_stats(stats, t0)
-        return
-    pi = _attach_view(pi_spec)
-    src = _attach_view(src_spec)
-    dst = _attach_view(dst_spec)
-    link_batch(pi, src[lo:hi], dst[lo:hi])
-    _record_stats(stats, t0, items=hi - lo)
-
-
-def _task_link_remaining(
-    pi_spec: SegSpec,
-    indptr_spec: SegSpec,
-    indices_spec: SegSpec,
-    v_lo: int,
-    v_hi: int,
-    start: int,
-    largest: int | None,
-    stats=None,
-) -> tuple[int, int]:
-    """Afforest final phase over one block.
-
-    Links edge slots ``start..deg(v)-1`` of every block vertex whose
-    current label differs from ``largest``; returns ``(linked, skipped)``
-    slot counts (the per-block shares of ``edges_final``/``edges_skipped``).
-    """
-    t0 = time.perf_counter()
-    if v_hi <= v_lo:
-        _record_stats(stats, t0)
-        return 0, 0
-    pi = _attach_view(pi_spec)
-    indptr = _attach_view(indptr_spec)
-    indices = _attach_view(indices_spec)
-    verts = np.arange(v_lo, v_hi, dtype=VERTEX_DTYPE)
-    deg = indptr[v_lo + 1 : v_hi + 1] - indptr[v_lo:v_hi]
-    skipped = 0
-    if largest is not None:
-        keep = pi[verts] != largest
-        skipped = int(np.maximum(deg[~keep] - start, 0).sum())
-        verts = verts[keep]
-        deg = deg[keep]
-    counts = np.maximum(deg - start, 0)
-    total = int(counts.sum())
-    if total == 0:
-        _record_stats(stats, t0, aux=skipped)
-        return 0, skipped
-    src = np.repeat(verts, counts)
-    offsets = np.repeat(indptr[verts] + start, counts) + segment_ranges(counts)
-    link_batch(pi, src, indices[offsets])
-    _record_stats(stats, t0, items=total, aux=skipped)
-    return total, skipped
 
 
 def _task_compress(pi_spec: SegSpec, lo: int, hi: int, stats=None) -> None:
@@ -633,42 +542,3 @@ def _task_bottom_up(
     _record_stats(stats, t0, items=gathered, aux=int(found.shape[0]))
     return found, modeled, gathered
 
-
-def _task_check_fix(
-    pi_spec: SegSpec,
-    indptr_spec: SegSpec,
-    indices_spec: SegSpec,
-    v_lo: int,
-    v_hi: int,
-    stats=None,
-) -> bool:
-    """Settle sweep over one block: re-link any edge whose endpoints ended
-    in different trees.
-
-    Run after a global compress barrier, so ``pi[u] != pi[v]`` genuinely
-    means "not yet merged" (a lost scatter-min update, or a skipped slot
-    whose sampled twin lost its update).  Returns True when the block had
-    anything to fix, driving the backend's settle loop to a fixpoint.
-    """
-    t0 = time.perf_counter()
-    if v_hi <= v_lo:
-        _record_stats(stats, t0)
-        return False
-    pi = _attach_view(pi_spec)
-    indptr = _attach_view(indptr_spec)
-    indices = _attach_view(indices_spec)
-    e_lo = int(indptr[v_lo])
-    e_hi = int(indptr[v_hi])
-    if e_hi <= e_lo:
-        _record_stats(stats, t0)
-        return False
-    deg = np.diff(indptr[v_lo : v_hi + 1])
-    src = np.repeat(np.arange(v_lo, v_hi, dtype=VERTEX_DTYPE), deg)
-    dst = indices[e_lo:e_hi]
-    bad = pi[src] != pi[dst]
-    if not bad.any():
-        _record_stats(stats, t0, items=e_hi - e_lo)
-        return False
-    link_batch(pi, src[bad], dst[bad])
-    _record_stats(stats, t0, items=e_hi - e_lo, aux=int(bad.sum()))
-    return True

@@ -16,6 +16,7 @@ from repro.analysis import equivalent_labelings
 from repro.engine import ProcessParallelBackend
 from repro.errors import ConfigurationError
 from repro.generators.components import component_fraction_graph
+from repro.generators.datasets import CPU_SUITE, load_dataset
 from repro.generators.lattice import grid_graph
 from repro.generators.powerlaw import barabasi_albert_graph
 from repro.graph import from_edge_list
@@ -80,6 +81,66 @@ class TestProcessVectorizedEquivalence:
         assert result.backend == "process"
 
 
+def _plan_graphs() -> list[tuple[str, CSRGraph]]:
+    graphs = [(name, load_dataset(name, "tiny")) for name in CPU_SUITE]
+    return graphs + [
+        ("lattice", grid_graph(16, 16)),
+        ("empty", from_edge_list([], num_vertices=0)),
+        ("isolated", from_edge_list([], num_vertices=5)),
+    ]
+
+
+#: every sampled plan (the kout and subgraph phases link through the
+#: inherited vectorized kernels, as does the settle finish), plus
+#: Afforest without the skip.
+LINK_PLANS = [
+    f"{sampling}+{finish}"
+    for sampling in ("kout", "subgraph", "ldd", "bfs")
+    for finish in ("settle", "sv", "fastsv", "lp", "lp-datadriven")
+] + ["afforest-noskip"]
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    backend = ProcessParallelBackend(workers=2)
+    yield backend
+    backend.close()
+
+
+@pytest.mark.parametrize(
+    "family,graph", _plan_graphs(), ids=lambda v: v if isinstance(v, str) else ""
+)
+@pytest.mark.parametrize("plan", LINK_PLANS)
+def test_link_plans_bit_identical_to_vectorized(plan, family, graph, two_workers):
+    vec = engine.run(plan, graph)
+    proc = engine.run(plan, graph, backend=two_workers)
+    assert np.array_equal(vec.labels, proc.labels)
+    if plan.startswith(("ldd+", "bfs+")):
+        # The traversal samplings push through the worker frontier tasks,
+        # whose slices read labels other slices already lowered: the
+        # sampled forest, and the counters that follow from it, depend on
+        # scheduling.  Only the labels are substrate-independent.
+        return
+    for field in ("edges_sampled", "edges_final", "edges_skipped", "link_rounds"):
+        assert getattr(proc, field) == getattr(vec, field), field
+
+
+def _worker_phases(result) -> set[str]:
+    """Names of the spans that carry worker-track children."""
+    return {
+        span.name
+        for span, _ in result.trace.walk()
+        if any(c.track and c.track.startswith("worker-") for c in span.children)
+    }
+
+
+@pytest.mark.parametrize("algorithm,phase", [("fastsv", "HS"), ("sv", "H")])
+def test_hooking_dispatches_to_workers(algorithm, phase, two_workers):
+    g = barabasi_albert_graph(800, edges_per_vertex=4, seed=3)
+    result = engine.run(algorithm, g, backend=two_workers, profile=True)
+    assert phase in _worker_phases(result)
+
+
 class TestProcessBackendStress:
     def test_repeated_runs_are_stable(self):
         """Many runs on one pool: no segment leak, no label drift."""
@@ -114,10 +175,14 @@ class TestProcessBackendConfiguration:
         g = barabasi_albert_graph(300, edges_per_vertex=3, seed=2)
         with ProcessParallelBackend(workers=2) as backend:
             result = engine.run("afforest", g, backend=backend, profile=True)
+            lp = engine.run("lp-datadriven", g, backend=backend, profile=True)
         assert "total" in result.phase_seconds
         assert result.phase_seconds["total"] > 0
-        # The settle loop always runs at least one verification sweep.
-        assert "H-settle" in result.phase_seconds
+        # Afforest links with the in-process kernels: no repair sweep.
+        assert "H-settle" not in result.phase_seconds
+        assert result.counters.get("settle_passes", 0) == 0
+        # The data-driven push still races across blocks and settles.
+        assert "P*" in lp.phase_seconds
 
     def test_unsupported_algorithm_rejected(self, mixed_graph):
         with ProcessParallelBackend(workers=1) as backend:
